@@ -14,7 +14,7 @@ exponents may be negative only on parameters declared invertible.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RowSpace
+from .linalg import RowSpace, vec_add
 
 _RESERVED = {"exp", "log"}
 
@@ -53,17 +53,6 @@ class ParamSpec:
     invertible: bool = False
 
 
-def _add_terms(u, v, c=Fraction(1)):
-    out = dict(u)
-    for k, a in v.items():
-        b = out.get(k, 0) + c * a
-        if b:
-            out[k] = b
-        else:
-            out.pop(k, None)
-    return out
-
-
 class AlgElem:
     """Element of a truncated algebra, always held in normal form."""
 
@@ -86,7 +75,7 @@ class AlgElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.algebra, _add_terms(self.terms, o.terms))
+        return AlgElem(self.algebra, vec_add(self.terms, o.terms))
 
     __radd__ = __add__
 
@@ -97,7 +86,7 @@ class AlgElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.algebra, _add_terms(self.terms, o.terms, Fraction(-1)))
+        return AlgElem(self.algebra, vec_add(self.terms, o.terms, Fraction(-1)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -127,9 +116,19 @@ class AlgElem:
             return NotImplemented
         if n < 0:
             return self.algebra.invert(self) ** (-n)
+        # square-and-multiply; a nilpotent base reaches 0 within log2(N) squarings
         out = self.algebra.one()
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+                if not out:
+                    return out
+            n >>= 1
+            if n:
+                base = base * base
+                if not base:
+                    return base
         return out
 
     def __eq__(self, other):
@@ -233,7 +232,7 @@ class Algebra:
                     for e, c in g.items():
                         s = tuple(x + y for x, y in zip(u, e))
                         if sum(s) < self.N:
-                            row = _add_terms(row, {s: c})
+                            row = vec_add(row, {s: c})
                     if row:
                         rows.insert(row)
             if not add_bound_power:
@@ -244,7 +243,7 @@ class Algebra:
                         for e, c in g.items():
                             s = tuple(x + y for x, y in zip(u, e))
                             if sum(s) <= self.N:
-                                row = _add_terms(row, {s: c})
+                                row = vec_add(row, {s: c})
                         if row:
                             wide.insert(row)
                 for mono in monomials_of_degree(self.m, self.N):

@@ -21,6 +21,7 @@ from . import derham as dr
 from . import ksymbols as ks
 from . import singularities as sg
 from . import sampling as sp
+from . import acceptance
 
 
 def _parse_relative(text, algebra):
@@ -91,39 +92,8 @@ def _cmd_bloch(args):
     return out, passed, lines
 
 
-def _homotopy_scan(N, max_degree, parametric=False):
-    rows = []
-    ok = True
-    algebras = [Algebra(1, N)]
-    if parametric:
-        algebras.append(Algebra(1, min(N, 4), params=[("a", False)]))
-    for A in algebras:
-        pres = dr.relative(A, dr.FULL)
-        for n in range(0, max_degree + 1):
-            checked = 0
-            good = True
-            if A.n_params:
-                keys = [(i, p) for i in range(1, A.N + min(n, 1))
-                        for p in dr._pihat_box(A, 2)]
-            else:
-                keys = pres.block_keys(n)
-            for key in keys:
-                blk = fm.form_block(A, n, key)
-                for coord in blk.basis:
-                    w = fm.Form(A, n, {coord: 1})
-                    i = key[0]
-                    lhs = fm.d(fm.euler_homotopy(w)) + fm.euler_homotopy(fm.d(w))
-                    if lhs != i * w:
-                        good = False
-                    checked += 1
-            rows.append({"params": A.n_params, "degree": n,
-                         "checked": checked, "ok": good})
-            ok = ok and good
-    return rows, ok
-
-
 def _cmd_verify_homotopy(args):
-    rows, ok = _homotopy_scan(args.N, args.max_degree, args.parametric)
+    rows, ok = acceptance.homotopy_scan(args.N, args.max_degree, args.parametric)
     out = {"N": args.N, "rows": rows, "passed": ok}
     total = sum(r["checked"] for r in rows)
     lines = [f"(dh+hd) = i x id on {total} basis forms: {'ok' if ok else 'FAILED'}"]
@@ -235,7 +205,6 @@ def _cmd_singular(args):
 
 
 def _cmd_selftest(args):
-    from . import acceptance
     workers = args.workers
     if workers is None:
         workers = int(os.environ.get("NILBLOCH_WORKERS", "0") or 0)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import RowSpace, nullspace, vec_dot
+from .linalg import RowSpace, nullspace, vec_dot, vec_iadd
 from .algebra import Algebra, AlgElem, RingMap
 from . import forms as fm
 from .forms import Form, WHOLE, form_block, block_key, coord_sort_key
@@ -65,6 +65,14 @@ def EXPLICIT(gens):
 
 def _zero_pihat(A):
     return (0,) * A.n_params
+
+
+def _lift(combo, vecs):
+    """sum of c * vecs[idx] over the (idx, c) pairs of combo."""
+    out = {}
+    for idx, c in combo.items():
+        vec_iadd(out, vecs[idx], c)
+    return out
 
 
 class BlockedRelative:
@@ -135,13 +143,12 @@ class BlockedRelative:
             combo = rows.solve(vec)
             if combo is None:
                 return None, (key, rows.witness(vec))
-            for coord, c in combo.items():
-                v = eta.get(coord, 0) + c
-                if v:
-                    eta[coord] = v
-                else:
-                    eta.pop(coord, None)
+            vec_iadd(eta, combo)
         return Form(self.A, form.degree - 1, eta, canonical=True), None
+
+    def rank(self, n):
+        """Rank of d into degree n; blocks partition the coordinates."""
+        return sum(self.class_rows(n, key).rank for key in self.block_keys(n))
 
     def global_class(self, n):
         rows = RowSpace(order=coord_sort_key(self.A))
@@ -195,17 +202,7 @@ class WholeRelative:
                     img = Form(Aq, n, {(mono, word): Fraction(1)})
                     images.append(img.terms)
                 kern = nullspace(images, order=coord_sort_key(Aq))
-                vecs = []
-                for combo in kern:
-                    vec = {}
-                    for idx, c in combo.items():
-                        coord = coords[idx]
-                        v = vec.get(coord, 0) + c
-                        if v:
-                            vec[coord] = v
-                        else:
-                            vec.pop(coord, None)
-                    vecs.append(vec)
+                vecs = [{coords[idx]: c for idx, c in combo.items()} for combo in kern]
             self._vectors[n] = vecs
         return self._vectors[n]
 
@@ -250,16 +247,11 @@ class WholeRelative:
         combo = rows.solve(form.terms)
         if combo is None:
             return None, (None, rows.witness(form.terms))
-        eta = {}
-        vecs = self.rel_vectors(form.degree - 1)
-        for idx, c in combo.items():
-            for coord, v in vecs[idx].items():
-                w = eta.get(coord, 0) + c * v
-                if w:
-                    eta[coord] = w
-                else:
-                    eta.pop(coord, None)
+        eta = _lift(combo, self.rel_vectors(form.degree - 1))
         return Form(self.A, form.degree - 1, eta, canonical=True), None
+
+    def rank(self, n):
+        return self.class_rows(n).rank
 
     def global_class(self, n):
         return self.class_rows(n)
@@ -397,8 +389,8 @@ def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
     else:
         for n in range(n_max + 1):
             dim = pres.dim(n)
-            dim_im = pres.global_class(n).rank
-            rank_out = pres.global_class(n + 1).rank
+            dim_im = pres.rank(n)
+            rank_out = pres.rank(n + 1)
             dim_ker = dim - rank_out
             rows.append({"degree": n, "dim": dim, "dim_ker": dim_ker,
                          "dim_im": dim_im, "dim_h": dim_ker - dim_im})
@@ -445,14 +437,7 @@ def _h_basis(pres, algebra, n):
         span.insert(dict(row))
     reps = []
     for combo in kernel:
-        vec = {}
-        for idx, c in combo.items():
-            for coord, v in vecs[idx].items():
-                w = vec.get(coord, 0) + c * v
-                if w:
-                    vec[coord] = w
-                else:
-                    vec.pop(coord, None)
+        vec = _lift(combo, vecs)
         if span.insert(dict(vec)) is not None:
             reps.append(Form(algebra, n, vec, canonical=True))
     return reps
@@ -578,14 +563,7 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
         if combo is None:
             alpha_ok = False
             continue
-        eta = {}
-        for idx, c in combo.items():
-            for coord, v in vecsI[idx].items():
-                w = eta.get(coord, 0) + c * v
-                if w:
-                    eta[coord] = w
-                else:
-                    eta.pop(coord, None)
+        eta = _lift(combo, vecsI)
         deta = fm.d(Form(A, n - 1, eta, canonical=True))
         if not presJ.is_relative(deta):
             alpha_ok = False

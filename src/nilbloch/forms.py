@@ -116,23 +116,11 @@ class FormBlock:
                 out.append(((pexp, texp), word))
         return out
 
-    def _form_gens(self):
-        A = self.algebra
-        gens = []
-        if A.monomial_ideal:
-            for e in A.mono_gens:
-                gens.append({e: Fraction(1)})
-        else:
-            gens.extend(A.ideal_gens)
-        for e in monomials_of_degree(A.m, A.N):
-            gens.append({e: Fraction(1)})
-        return gens
-
     def _relation_rows(self):
         if self.n <= 0:
             return
         A = self.algebra
-        gens = self._form_gens()
+        gens = _form_gens(A)
         if self.key == WHOLE:
             pexp = (0,) * A.n_params
             for g in gens:
@@ -159,34 +147,49 @@ class FormBlock:
                         if row:
                             yield row
             return
+        # graded: a*u*dT with a a monomial generator; d(a) puts one dt_v into
+        # the word, so each (T, pexp) slot and its wedge moves are block-local
         i, pihat = self.key
+        slots = []
+        for T, D in self._words(self.n - 1):
+            pexp = self._pexp_for(pihat, D)
+            if pexp is None:
+                continue
+            word = T + tuple(A.m + j for j in D)
+            moves = [(v,) + wedge_insert(v, word) for v in range(A.m) if v not in T]
+            slots.append((len(T), pexp, moves))
         for g in gens:
             a = next(iter(g))
             dega = sum(a)
-            for T, D in self._words(self.n - 1):
-                pexp = self._pexp_for(pihat, D)
-                if pexp is None:
-                    continue
-                word = T + tuple(A.m + j for j in D)
-                udeg = i - dega - len(T)
-                for u in A._basis_by_degree.get(udeg, []):
+            if dega > i:
+                continue
+            for lenT, pexp, moves in slots:
+                for u in A._basis_by_degree.get(i - dega - lenT, []):
                     row = {}
-                    for v in range(A.m):
-                        if not a[v] or v in T:
+                    ua = tuple(x + y for x, y in zip(u, a))
+                    for v, sign, new in moves:
+                        if not a[v]:
                             continue
-                        mono = tuple(x + y for x, y in zip(u, a))
-                        mono = mono[:v] + (mono[v] - 1,) + mono[v + 1:]
+                        mono = ua[:v] + (ua[v] - 1,) + ua[v + 1:]
                         if A._mono_dead(mono):
                             continue
-                        sign, new = wedge_insert(v, word)
-                        coord = ((pexp, mono), new)
-                        val = row.get(coord, 0) + a[v] * sign
-                        if val:
-                            row[coord] = Fraction(val)
-                        else:
-                            row.pop(coord, None)
+                        # distinct v give distinct words, so no coord repeats
+                        row[((pexp, mono), new)] = Fraction(a[v] * sign)
                     if row:
                         yield row
+
+
+def _form_gens(algebra):
+    """Ideal generators, then every degree-N monomial; built once per algebra."""
+    gens = getattr(algebra, "_relation_gens", None)
+    if gens is None:
+        if algebra.monomial_ideal:
+            gens = [{e: Fraction(1)} for e in algebra.mono_gens]
+        else:
+            gens = list(algebra.ideal_gens)
+        gens.extend({e: Fraction(1)} for e in monomials_of_degree(algebra.m, algebra.N))
+        algebra._relation_gens = gens
+    return gens
 
 
 def form_block(algebra, n, key):

@@ -5,21 +5,32 @@ keeps an inter-reduced echelon basis of everything inserted into it; the
 pivot of a row is its largest key under the supplied order, so reducing a
 vector eliminates largest terms first and the reduced representative of a
 coset is unique.
+
+A RowSpace also keeps a column index over the non-pivot keys: for every
+key k that some row holds and that is not itself a pivot, cols[k] is
+exactly the set of pivots whose row holds k; no other key is in cols. (A
+pivot key sits only in its own row, so indexing it would say nothing.)
+Inserting a row with a new pivot back-reduces just the rows in that key's
+column instead of scanning the whole basis.
 """
 
 from fractions import Fraction
 
 
-def vec_add(u, v, c=Fraction(1)):
-    # u + c*v, dropping zeros
-    out = dict(u)
+def vec_iadd(u, v, c=Fraction(1)):
+    """u += c*v in place, dropping zeros; returns u."""
     for k, a in v.items():
-        b = out.get(k, 0) + c * a
+        b = u.get(k, 0) + c * a
         if b:
-            out[k] = b
+            u[k] = b
         else:
-            out.pop(k, None)
-    return out
+            u.pop(k, None)
+    return u
+
+
+def vec_add(u, v, c=Fraction(1)):
+    """u + c*v as a new dict, dropping zeros."""
+    return vec_iadd(dict(u), v, c)
 
 
 def vec_scale(u, c):
@@ -44,6 +55,7 @@ class RowSpace:
     def __init__(self, order=None, track=False):
         self.order = order or (lambda k: k)
         self.rows = {}      # pivot key -> monic row, fully reduced
+        self.cols = {}      # non-pivot key -> set of pivots whose row holds it
         self.track = track
         self.combos = {}    # pivot key -> {tag: Fraction}
 
@@ -54,6 +66,7 @@ class RowSpace:
     def _reduce(self, vec, want_combo=False):
         res = {k: c for k, c in vec.items() if c}
         combo = {}
+        track = want_combo and self.track
         hits = [k for k in res if k in self.rows]
         # row tails never contain pivot keys, so one descending pass suffices
         hits.sort(key=self.order, reverse=True)
@@ -61,9 +74,9 @@ class RowSpace:
             c = res.get(k)
             if not c:
                 continue
-            res = vec_add(res, self.rows[k], -c)
-            if want_combo and self.track:
-                combo = vec_add(combo, self.combos[k], c)
+            vec_iadd(res, self.rows[k], -c)
+            if track:
+                vec_iadd(combo, self.combos[k], c)
         return res, combo
 
     def reduce(self, vec):
@@ -87,13 +100,28 @@ class RowSpace:
             if tag is not None:
                 cmb = vec_add(cmb, {tag: Fraction(1) / lead})
             self.combos[piv] = cmb
-        # keep the basis in reduced echelon form
-        for p, other in self.rows.items():
-            c = other.get(piv)
-            if c:
-                self.rows[p] = vec_add(other, row, -c)
-                if self.track:
-                    self.combos[p] = vec_add(self.combos[p], self.combos[piv], -c)
+        # keep the basis in reduced echelon form: clear piv from the rows
+        # holding it; the new row's tail is indexed first, so every key a
+        # back-reduction touches already has a (never emptied) pivot set
+        cols = self.cols
+        holders = cols.pop(piv, ())
+        tail = [(k, a) for k, a in row.items() if k != piv]
+        for k, _ in tail:
+            cols.setdefault(k, set()).add(piv)
+        for p in holders:
+            other = self.rows[p]
+            c = other.pop(piv)
+            for k, a in tail:
+                b = other.get(k, 0) - c * a
+                if b:
+                    if k not in other:
+                        cols[k].add(p)
+                    other[k] = b
+                else:
+                    del other[k]
+                    cols[k].discard(p)
+            if self.track:
+                vec_iadd(self.combos[p], self.combos[piv], -c)
         self.rows[piv] = row
         return piv
 

@@ -6,10 +6,10 @@ coefficients have numerator and denominator a few digits, nilpotent parts
 pick a handful of basis monomials.
 """
 
-import random
 from fractions import Fraction
 
-from .algebra import Algebra, monomials_below, monomials_of_degree
+from .algebra import Algebra, monomials_below
+from .linalg import vec_iadd
 from . import ksymbols as ks
 
 
@@ -40,12 +40,6 @@ def random_unit(rng, A, max_terms=3):
     return A.const(c) * (A.one() + random_nilpotent(rng, A, max_terms))
 
 
-def random_relative_unit(rng, A, k=1, max_terms=3):
-    """1+x with every monomial of x of internal degree >= k."""
-    x = random_nilpotent(rng, A, max_terms, min_degree=k)
-    return A.one() + x
-
-
 def random_symbol(rng, A, arity, nil_slots=1):
     """A symbol with at least nil_slots entries of the shape 1+x, x != 0."""
     entries = []
@@ -70,13 +64,7 @@ def random_form(rng, A, pres, n, max_terms=4):
         return Form(A, n, {})
     terms = {}
     for v in rng.sample(vecs, min(len(vecs), rng.randint(1, max_terms))):
-        c = random_rational(rng, nonzero=True)
-        for coord, a in v.items():
-            val = terms.get(coord, 0) + c * a
-            if val:
-                terms[coord] = val
-            else:
-                terms.pop(coord, None)
+        vec_iadd(terms, v, random_rational(rng, nonzero=True))
     return Form(A, n, terms)
 
 

@@ -183,3 +183,33 @@ def test_power_algebra():
     assert P.m == 2
     assert P.N == 3
     assert len(P.nil_basis) == 6
+
+
+def repeated_product(x, n):
+    out = x.algebra.one()
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+C = Algebra(2, 5, ideal=[{(3, 0): 1, (0, 3): 1}])
+c_elems = elem_strategy(C)
+
+
+@given(x=st.one_of(elems, b_elems, c_elems), n=st.integers(min_value=0, max_value=12))
+def test_pow_matches_repeated_product(x, n):
+    assert x ** n == repeated_product(x, n)
+
+
+@given(x=st.one_of(elems, b_elems, c_elems), n=st.integers(min_value=1, max_value=12))
+def test_negative_pow_of_units(x, n):
+    u = x.algebra.one() + x.nil_part()
+    assert u ** -n == repeated_product(x.algebra.invert(u), n)
+    assert u ** -n * u ** n == x.algebra.one()
+
+
+def test_pow_of_nilpotent_with_huge_exponent_is_zero():
+    t = A.nil(0)
+    assert t ** 30000000 == A.zero()
+    assert (t + A.nil(1)) ** (10 ** 12) == A.zero()
+    assert A.one() ** (10 ** 12) == A.one()

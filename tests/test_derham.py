@@ -193,3 +193,16 @@ def test_parametric_cohomology_blocks():
     assert rep.rows
     assert all(r["dim_h"] == 0 for r in rep.rows)
     assert {tuple(r["pihat"]) for r in rep.rows} == {(0,), (1,), (2,)}
+
+
+@pytest.mark.parametrize("A, rel", [
+    (Algebra(3, 5), FULL),
+    (Algebra(3, 4, ideal=[{(2, 0, 0): 1}, {(0, 1, 1): 1}]), FULL),
+    (Algebra(1, 6), POWER(3)),
+    (Algebra(2, 6), EXPLICIT(CURVE_JAC)),
+], ids=["full_R_3_5", "monomial_ideal_m3", "power3_m1", "explicit_jacobian"])
+def test_rank_equals_merged_global_rank(A, rel):
+    pres = relative(A, rel)
+    ranks = [pres.rank(n) for n in range(A.m + 2)]
+    assert ranks == [pres.global_class(n).rank for n in range(A.m + 2)]
+    assert any(ranks)

@@ -3,7 +3,8 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilbloch.linalg import RowSpace, nullspace, vec_add, vec_dot, vec_scale
+from nilbloch.linalg import (RowSpace, nullspace, vec_add, vec_dot, vec_iadd,
+                             vec_scale)
 
 def clean(v):
     return {k: c for k, c in v.items() if c}
@@ -21,6 +22,15 @@ def test_vec_add_is_componentwise(u, v):
     for k in keys:
         assert w.get(k, 0) == u.get(k, 0) + v.get(k, 0)
     assert all(c for c in w.values())
+
+
+@given(u=vectors, v=vectors, c=entries)
+def test_vec_iadd_updates_in_place(u, v, c):
+    want = vec_add(u, v, c)
+    got = dict(u)
+    assert vec_iadd(got, v, c) is got
+    assert got == want
+    assert list(got) == list(want)
 
 
 @given(u=vectors, c=entries)
@@ -115,3 +125,84 @@ def test_nullspace_kills_exactly_the_relations(vs):
     for v in vs:
         rows.insert(v)
     assert len(kernel) == len(vs) - rows.rank
+
+
+class FullScanRowSpace:
+    """Reference RowSpace: back-reduces by scanning every pivot row."""
+
+    def __init__(self, track=False):
+        self.rows = {}
+        self.combos = {}
+        self.track = track
+
+    def reduce(self, vec, want_combo=False):
+        res = clean(vec)
+        combo = {}
+        for k in sorted((k for k in res if k in self.rows), reverse=True):
+            c = res.get(k)
+            if c:
+                res = vec_add(res, self.rows[k], -c)
+                if want_combo and self.track:
+                    combo = vec_add(combo, self.combos[k], c)
+        return res, combo
+
+    def insert(self, vec, tag=None):
+        res, combo = self.reduce(vec, want_combo=True)
+        if not res:
+            return None
+        piv = max(res)
+        lead = Fraction(res[piv])
+        row = vec_scale(res, 1 / lead)
+        if self.track:
+            cmb = vec_scale(combo, -1 / lead)
+            if tag is not None:
+                cmb = vec_add(cmb, {tag: 1 / lead})
+            self.combos[piv] = cmb
+        for p, other in self.rows.items():
+            c = other.get(piv)
+            if c:
+                self.rows[p] = vec_add(other, row, -c)
+                if self.track:
+                    self.combos[p] = vec_add(self.combos[p], self.combos[piv], -c)
+        self.rows[piv] = row
+        return piv
+
+    def witness(self, vec):
+        res, _ = self.reduce(vec)
+        if not res:
+            return None
+        kappa = max(res)
+        w = {kappa: Fraction(1)}
+        for p, row in self.rows.items():
+            if row.get(kappa):
+                w[p] = -row[kappa]
+        return w
+
+
+def column_index_of(rows):
+    """Non-pivot key -> set of pivots whose row holds it."""
+    cols = {}
+    for p, row in rows.items():
+        for k in row:
+            if k not in rows:
+                cols.setdefault(k, set()).add(p)
+    return cols
+
+
+wide_vectors = st.dictionaries(st.integers(min_value=0, max_value=9), entries,
+                               max_size=6).map(clean)
+
+
+@given(vs=st.lists(wide_vectors, max_size=10), probe=wide_vectors, track=st.booleans())
+def test_column_index_matches_full_scan_reference(vs, probe, track):
+    rows = RowSpace(track=track)
+    ref = FullScanRowSpace(track=track)
+    for i, v in enumerate(vs):
+        tag = i if track else None
+        assert rows.insert(v, tag=tag) == ref.insert(v, tag=tag)
+        assert rows.rows == ref.rows
+        assert list(rows.rows) == list(ref.rows)
+        assert rows.combos == ref.combos
+        assert rows.cols == column_index_of(rows.rows)
+    assert rows.witness(probe) == ref.witness(probe)
+    assert rows.reduce(probe) == ref.reduce(probe)[0]

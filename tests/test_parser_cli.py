@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -151,6 +154,19 @@ def test_cli_bloch_assert_zero_exit_codes(capsys):
     code, out, _ = run_cli(capsys, argv + ["{1+t}", "--assert-zero"])
     assert code == 1
     assert json.loads(out)["zero"] is False
+
+
+def test_cli_bloch_huge_exponent_returns_quickly():
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilbloch", "bloch", "--m", "1", "--N", "4",
+         "--symbol", "{1+t^30000000, 2}"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["zero"] is True
 
 
 def test_cli_usage_errors_exit_two(capsys):
