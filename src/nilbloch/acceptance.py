@@ -69,12 +69,7 @@ def homotopy_scan(N, max_degree, parametric=False):
         for n in range(0, max_degree + 1):
             checked = 0
             good = True
-            if A.n_params:
-                keys = [(i, p) for i in range(1, A.N + min(n, 1))
-                        for p in dr._pihat_box(A, 2)]
-            else:
-                keys = pres.block_keys(n)
-            for key in keys:
+            for key in pres.block_keys(n, dr._pihat_box(A, 2)):
                 blk = fm.form_block(A, n, key)
                 for coord in blk.basis:
                     w = fm.Form(A, n, {coord: 1})

@@ -14,7 +14,7 @@ exponents may be negative only on parameters declared invertible.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RowSpace, vec_add
+from .linalg import RowSpace, vec_add, vec_iadd
 
 _RESERVED = {"exp", "log"}
 
@@ -174,6 +174,22 @@ class AlgElem:
     __repr__ = __str__
 
 
+def poly_terms(f):
+    """A polynomial in the nilpotent variables as {texp: Fraction}.
+
+    f is an AlgElem without parameters or a dict {texp: coefficient};
+    equal exponents merge and zero coefficients drop.
+    """
+    if isinstance(f, AlgElem):
+        if any(any(pexp) for pexp, _ in f.terms):
+            raise ValueError("polynomial must not involve parameters")
+        f = {texp: c for (_, texp), c in f.terms.items()}
+    out = {}
+    for k, c in dict(f).items():
+        vec_iadd(out, {tuple(k): Fraction(c)})
+    return out
+
+
 class Algebra:
     """R = S[t_1..t_m]/J with S = Q[params] and (t_1..t_m)^N contained in J.
 
@@ -199,7 +215,7 @@ class Algebra:
         self.param_index = {p.name: i for i, p in enumerate(self.params)}
         self.nil_index = {n: i for i, n in enumerate(self.nil_names)}
 
-        gens = [self._gen_terms(g) for g in ideal]
+        gens = [poly_terms(g) for g in ideal]
         for g in gens:
             for texp in g:
                 if sum(texp) == 0:
@@ -271,16 +287,6 @@ class Algebra:
             if name in seen:
                 raise ValueError(f"duplicate variable name {name!r}")
             seen.add(name)
-
-    def _gen_terms(self, g):
-        if isinstance(g, AlgElem):
-            out = {}
-            for (pexp, texp), c in g.terms.items():
-                if any(pexp):
-                    raise ValueError("ideal generators must not involve parameters")
-                out[texp] = out.get(texp, 0) + c
-            return {k: Fraction(c) for k, c in out.items() if c}
-        return {tuple(k): Fraction(c) for k, c in dict(g).items() if c}
 
     def _mono_dead(self, texp):
         if sum(texp) >= self.N:

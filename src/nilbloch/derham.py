@@ -6,12 +6,16 @@ POWER(k) the kernel for (t^k) in single-nilpotent graded mode, and
 EXPLICIT(gens) the kernel for an arbitrary nilpotent ideal, found by
 presenting both form modules and solving for the kernel (parameter-free).
 
-In graded (monomial-ideal) mode FULL and POWER(k) are exactly the spans of
-the internal-degree >= 1 (resp. >= k) coordinates, and the differential
-preserves each (internal degree, parameter multidegree) block, so quotient
-classes mod d and exactness questions split into small independent solves.
-A degree cutoff discards the blocks of internal degree above the cutoff
-before solving; certificates re-verify exactly against what was kept.
+Every spec is presented one way: as a direct sum of blocks that d
+preserves, with quotient classes mod d, exactness questions and ranks
+solved block by block. In graded (monomial-ideal) mode FULL and POWER(k)
+are exactly the spans of the internal-degree >= 1 (resp. >= k)
+coordinates, and the blocks are the (internal degree, parameter
+multidegree) pairs (BlockedRelative). EXPLICIT and the non-graded FULL
+case are the same machinery with one WHOLE block (WholeRelative). A
+degree cutoff, graded mode only, discards the coordinates of internal
+degree above the cutoff before solving; certificates re-verify exactly
+against what was kept.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,7 @@ from fractions import Fraction
 from itertools import product
 
 from .linalg import RowSpace, nullspace, vec_dot, vec_iadd
-from .algebra import Algebra, AlgElem, RingMap
+from .algebra import Algebra, RingMap, poly_terms
 from . import forms as fm
 from .forms import Form, WHOLE, form_block, block_key, coord_sort_key
 
@@ -49,18 +53,8 @@ def POWER(k):
 
 
 def EXPLICIT(gens):
-    frozen = []
-    for g in gens:
-        if isinstance(g, AlgElem):
-            items = {}
-            for (pexp, texp), c in g.terms.items():
-                if any(pexp):
-                    raise ValueError("invalid relative spec")
-                items[texp] = items.get(texp, 0) + c
-        else:
-            items = {tuple(k): Fraction(v) for k, v in dict(g).items()}
-        frozen.append(tuple(sorted((e, Fraction(c)) for e, c in items.items() if c)))
-    return RelativeSpec("explicit", gens=tuple(frozen))
+    return RelativeSpec("explicit", gens=tuple(tuple(sorted(poly_terms(g).items()))
+                                               for g in gens))
 
 
 def _zero_pihat(A):
@@ -75,14 +69,93 @@ def _lift(combo, vecs):
     return out
 
 
-class BlockedRelative:
-    """FULL/POWER presentation in graded mode: per-block spans and solves."""
+class _Relative:
+    """Relative forms as a direct sum of blocks, with per-block class solves.
+
+    d maps block (n-1, key) into block (n, key), so the classes mod d of a
+    block are solved against the d-images of that block's relative
+    (n-1)-basis alone. A subclass supplies the block layout (graded,
+    block_keys), the relative basis of a block as tags (_tags) and the
+    vector of each tag (_vector), and membership (is_relative).
+    """
 
     def __init__(self, algebra, rel):
         self.A = algebra
         self.rel = rel
-        self.k = 1 if rel.kind == "full" else rel.k
         self._class = {}
+
+    def rel_vectors(self, n):
+        return [self._vector(n, tag) for key in self.block_keys(n)
+                for tag in self._tags(n, key)]
+
+    def dim(self, n, pihats=None):
+        return sum(len(self._tags(n, key)) for key in self.block_keys(n, pihats))
+
+    def rank(self, n, pihats=None):
+        """Rank of d into degree n; blocks partition the coordinates."""
+        return sum(self.class_rows(n, key).rank for key in self.block_keys(n, pihats))
+
+    def class_rows(self, n, key):
+        """d-images of the relative (n-1)-basis of this block, by tag."""
+        if (n, key) not in self._class:
+            rows = RowSpace(order=coord_sort_key(self.A), track=True)
+            for tag in self._tags(n - 1, key):
+                v = self._vector(n - 1, tag)
+                rows.insert(fm.d(Form(self.A, n - 1, v, canonical=True)).terms, tag=tag)
+            self._class[(n, key)] = rows
+        return self._class[(n, key)]
+
+    def global_class(self, n):
+        """All class rows into degree n merged into one space."""
+        rows = RowSpace(order=coord_sort_key(self.A))
+        for key in self.block_keys(n):
+            for row in self.class_rows(n, key).rows.values():
+                rows.insert(dict(row))
+        return rows
+
+    def truncate(self, form, cutoff):
+        if not self.graded:
+            raise ValueError("cutoff requires graded mode")
+        keep = {coord: c for coord, c in form.terms.items()
+                if block_key(self.A, *coord)[0] <= cutoff}
+        return Form(self.A, form.degree, keep, canonical=True)
+
+    def _split(self, form):
+        if not self.graded:
+            return {WHOLE: form.terms}
+        blocks = {}
+        for coord, c in form.terms.items():
+            blocks.setdefault(block_key(self.A, *coord), {})[coord] = c
+        return blocks
+
+    def reduce_class(self, form):
+        out = {}
+        for key, vec in self._split(form).items():
+            out.update(self.class_rows(form.degree, key).reduce(vec))
+        return Form(self.A, form.degree, out, canonical=True)
+
+    def solve_class(self, form):
+        """(primitive, None), or (None, (block, witness)) at the first failing block."""
+        n = form.degree
+        eta = {}
+        for key, vec in self._split(form).items():
+            rows = self.class_rows(n, key)
+            combo = rows.solve(vec)
+            if combo is None:
+                return None, (key, rows.witness(vec))
+            for tag, c in combo.items():
+                vec_iadd(eta, self._vector(n - 1, tag), c)
+        return Form(self.A, n - 1, eta, canonical=True), None
+
+
+class BlockedRelative(_Relative):
+    """FULL/POWER in graded mode: the coordinates of internal degree >= k."""
+
+    graded = True
+
+    def __init__(self, algebra, rel):
+        super().__init__(algebra, rel)
+        self.k = 1 if rel.kind == "full" else rel.k
 
     def block_keys(self, n, pihats=None):
         if pihats is None:
@@ -92,83 +165,27 @@ class BlockedRelative:
         top = self.A.N + min(n, self.A.m) if n >= 0 else self.k
         return [(i, p) for p in pihats for i in range(self.k, top)]
 
-    def rel_vectors(self, n):
-        out = []
-        for key in self.block_keys(n):
-            for coord in form_block(self.A, n, key).basis:
-                out.append({coord: Fraction(1)})
-        return out
+    def _tags(self, n, key):
+        return form_block(self.A, n, key).basis if key[0] >= self.k else ()
 
-    def dim(self, n):
-        return sum(form_block(self.A, n, key).dim for key in self.block_keys(n))
+    def _vector(self, n, coord):
+        return {coord: Fraction(1)}
 
     def is_relative(self, form):
         return all(block_key(self.A, *coord)[0] >= self.k for coord in form.terms)
 
-    def truncate(self, form, cutoff):
-        keep = {coord: c for coord, c in form.terms.items()
-                if block_key(self.A, *coord)[0] <= cutoff}
-        return Form(self.A, form.degree, keep, canonical=True)
 
-    def class_rows(self, n, key):
-        """d-images of the relative (n-1)-basis of this block, tagged by coord."""
-        if (n, key) not in self._class:
-            rows = RowSpace(order=coord_sort_key(self.A), track=True)
-            if key[0] >= self.k:
-                for coord in form_block(self.A, n - 1, key).basis:
-                    df = fm.d(Form(self.A, n - 1, {coord: Fraction(1)}, canonical=True))
-                    rows.insert(df.terms, tag=coord)
-            self._class[(n, key)] = rows
-        return self._class[(n, key)]
+class WholeRelative(_Relative):
+    """One WHOLE block: EXPLICIT kernels and the non-graded FULL case."""
 
-    def _split(self, form, cutoff):
-        blocks = {}
-        for coord, c in form.terms.items():
-            key = block_key(self.A, *coord)
-            if cutoff is not None and key[0] > cutoff:
-                continue
-            blocks.setdefault(key, {})[coord] = c
-        return blocks
-
-    def reduce_class(self, form, cutoff=None):
-        out = {}
-        for key, vec in self._split(form, cutoff).items():
-            out.update(self.class_rows(form.degree, key).reduce(vec))
-        return Form(self.A, form.degree, out, canonical=True)
-
-    def solve_class(self, form, cutoff=None):
-        eta = {}
-        for key, vec in self._split(form, cutoff).items():
-            rows = self.class_rows(form.degree, key)
-            combo = rows.solve(vec)
-            if combo is None:
-                return None, (key, rows.witness(vec))
-            vec_iadd(eta, combo)
-        return Form(self.A, form.degree - 1, eta, canonical=True), None
-
-    def rank(self, n):
-        """Rank of d into degree n; blocks partition the coordinates."""
-        return sum(self.class_rows(n, key).rank for key in self.block_keys(n))
-
-    def global_class(self, n):
-        rows = RowSpace(order=coord_sort_key(self.A))
-        for key in self.block_keys(n):
-            for row in self.class_rows(n, key).rows.values():
-                rows.insert(dict(row))
-        return rows
-
-
-class WholeRelative:
-    """Whole-space presentation: EXPLICIT kernels and the non-graded FULL case."""
+    graded = False
 
     def __init__(self, algebra, rel):
         if algebra.n_params:
             raise ValueError("invalid relative spec")
-        self.A = algebra
-        self.rel = rel
+        super().__init__(algebra, rel)
         self._vectors = {}
         self._member = {}
-        self._class = {}
         if rel.kind == "explicit":
             extra = [dict(g) for g in rel.gens]
             self.quotient = Algebra(algebra.m, algebra.N,
@@ -176,85 +193,42 @@ class WholeRelative:
         else:
             self.quotient = None
 
-    def coords(self, n):
-        if n < 0:
-            return []
-        if self.A.monomial_ideal:
-            out = []
-            key0 = _zero_pihat(self.A)
-            for i in range(0, self.A.N + min(n, self.A.m)):
-                out.extend(form_block(self.A, n, (i, key0)).basis)
-            return out
-        return list(form_block(self.A, n, WHOLE).basis)
+    def block_keys(self, n, pihats=None):
+        return [WHOLE]
 
-    def rel_vectors(self, n):
+    def _tags(self, n, key):
+        return range(len(self._basis(n)))
+
+    def _vector(self, n, idx):
+        return self._basis(n)[idx]
+
+    def _basis(self, n):
+        """Relative n-vectors; for EXPLICIT, the kernel of restriction to R/I."""
         if n not in self._vectors:
-            coords = self.coords(n)
+            A = self.A
+            keys = ([(i, _zero_pihat(A)) for i in range(A.N + min(n, A.m))]
+                    if A.monomial_ideal else [WHOLE])
+            coords = [c for key in keys for c in form_block(A, n, key).basis] if n >= 0 else []
             if self.rel.kind == "full":
-                if n == 0:
-                    vecs = [{c: Fraction(1)} for c in coords if sum(c[0][1]) >= 1]
-                else:
-                    vecs = [{c: Fraction(1)} for c in coords]
+                vecs = [{c: Fraction(1)} for c in coords if n or sum(c[0][1]) >= 1]
             else:
-                images = []
                 Aq = self.quotient
-                for (mono, word) in coords:
-                    img = Form(Aq, n, {(mono, word): Fraction(1)})
-                    images.append(img.terms)
+                images = [Form(Aq, n, {c: Fraction(1)}).terms for c in coords]
                 kern = nullspace(images, order=coord_sort_key(Aq))
                 vecs = [{coords[idx]: c for idx, c in combo.items()} for combo in kern]
             self._vectors[n] = vecs
         return self._vectors[n]
 
-    def dim(self, n):
-        return len(self.rel_vectors(n))
-
-    def _membership(self, n):
-        if n not in self._member:
-            rows = RowSpace(order=coord_sort_key(self.A))
-            for v in self.rel_vectors(n):
-                rows.insert(dict(v))
-            self._member[n] = rows
-        return self._member[n]
-
     def is_relative(self, form):
         if not form.terms:
             return True
-        return self._membership(form.degree).contains(form.terms)
-
-    def truncate(self, form, cutoff):
-        raise ValueError("cutoff requires graded mode")
-
-    def class_rows(self, n):
-        if n not in self._class:
-            rows = RowSpace(order=coord_sort_key(self.A), track=True)
-            for idx, v in enumerate(self.rel_vectors(n - 1)):
-                df = fm.d(Form(self.A, n - 1, v, canonical=True))
-                rows.insert(df.terms, tag=idx)
-            self._class[n] = rows
-        return self._class[n]
-
-    def reduce_class(self, form, cutoff=None):
-        if cutoff is not None:
-            raise ValueError("cutoff requires graded mode")
-        red = self.class_rows(form.degree).reduce(form.terms)
-        return Form(self.A, form.degree, red, canonical=True)
-
-    def solve_class(self, form, cutoff=None):
-        if cutoff is not None:
-            raise ValueError("cutoff requires graded mode")
-        rows = self.class_rows(form.degree)
-        combo = rows.solve(form.terms)
-        if combo is None:
-            return None, (None, rows.witness(form.terms))
-        eta = _lift(combo, self.rel_vectors(form.degree - 1))
-        return Form(self.A, form.degree - 1, eta, canonical=True), None
-
-    def rank(self, n):
-        return self.class_rows(n).rank
-
-    def global_class(self, n):
-        return self.class_rows(n)
+        n = form.degree
+        if n not in self._member:
+            rows = RowSpace(order=coord_sort_key(self.A))
+            for v in self._basis(n):
+                rows.insert(dict(v))
+            self._member[n] = rows
+        return self._member[n].contains(form.terms)
 
 
 def relative(algebra, rel):
@@ -336,12 +310,8 @@ def check_certificate(cert, form, rel):
     w = cert.witness
     if vec_dot(w, work.terms) == 0:
         return False
-    if cert.witness_block is not None:
-        rows = pres.class_rows(form.degree, cert.witness_block)
-    else:
-        rows = pres.global_class(form.degree)
-    probe = rows.rows.values()
-    return all(vec_dot(w, dict(row)) == 0 for row in probe)
+    rows = pres.class_rows(form.degree, cert.witness_block).rows.values()
+    return all(vec_dot(w, dict(row)) == 0 for row in rows)
 
 
 @dataclass
@@ -367,33 +337,22 @@ def _pihat_box(algebra, bound):
 
 
 def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
+    """dim H^n per degree, and per parameter multidegree in parametric mode."""
     pres = relative(algebra, rel)
     if n_max is None:
-        n_max = algebra.m + (algebra.n_params if algebra.n_params else 0)
+        n_max = algebra.m + algebra.n_params
+    pihats = _pihat_box(algebra, param_bound or 0)   # [()] without parameters
     rows = []
-    if algebra.n_params:
-        if not isinstance(pres, BlockedRelative):
-            raise ValueError("invalid relative spec")
-        bound = 0 if param_bound is None else param_bound
-        pihats = _pihat_box(algebra, bound)
-        for n in range(n_max + 1):
-            for p in pihats:
-                keys = [(i, p) for i in range(pres.k, algebra.N + min(n + 1, algebra.m))]
-                dim = sum(form_block(algebra, n, key).dim for key in keys)
-                dim_im = sum(pres.class_rows(n, key).rank for key in keys)
-                rank_out = sum(pres.class_rows(n + 1, key).rank for key in keys)
-                dim_ker = dim - rank_out
-                rows.append({"degree": n, "pihat": list(p), "dim": dim,
-                             "dim_ker": dim_ker, "dim_im": dim_im,
-                             "dim_h": dim_ker - dim_im})
-    else:
-        for n in range(n_max + 1):
-            dim = pres.dim(n)
-            dim_im = pres.rank(n)
-            rank_out = pres.rank(n + 1)
-            dim_ker = dim - rank_out
-            rows.append({"degree": n, "dim": dim, "dim_ker": dim_ker,
-                         "dim_im": dim_im, "dim_h": dim_ker - dim_im})
+    for n in range(n_max + 1):
+        for p in pihats:
+            dim = pres.dim(n, [p])
+            dim_im = pres.rank(n, [p])
+            dim_ker = dim - pres.rank(n + 1, [p])
+            row = {"degree": n, "dim": dim, "dim_ker": dim_ker,
+                   "dim_im": dim_im, "dim_h": dim_ker - dim_im}
+            if algebra.n_params:
+                row["pihat"] = list(p)
+            rows.append(row)
     return CohomologyReport(algebra.describe(), rel.label(), rows)
 
 

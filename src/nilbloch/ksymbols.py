@@ -341,7 +341,11 @@ def _default_generators(A, n):
 
 
 def surjectivity_witnesses(A, rel, n, symbols=None):
-    """Check that Bloch images of generator symbols span Omega^n_rel / d."""
+    """Check that Bloch images of generator symbols span Omega^n_rel / d.
+
+    In parametric mode the target is the class space in the parameter
+    multidegrees that the classes reach.
+    """
     pres = dr.relative(A, rel)
     if symbols is None:
         if A.n_params:
@@ -353,14 +357,10 @@ def surjectivity_witnesses(A, rel, n, symbols=None):
     for rep in classes:
         if rep.terms and span.insert(dict(rep.terms)) is not None:
             rank += 1
+    pihats = None
     if A.n_params:
-        keys = {block_key(A, *coord) for rep in classes for coord in rep.terms}
-        target = 0
-        for key in sorted(keys):
-            blk = fm.form_block(A, n, key)
-            target += blk.dim - pres.class_rows(n, key).rank
-    else:
-        target = pres.dim(n) - pres.global_class(n).rank
+        pihats = sorted({block_key(A, *coord)[1] for rep in classes for coord in rep.terms})
+    target = pres.dim(n, pihats) - pres.rank(n, pihats)
     return SpanReport(n, target, rank, len(symbols), rank == target)
 
 

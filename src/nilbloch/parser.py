@@ -8,6 +8,9 @@ Grammar (whitespace-insensitive):
     atom   := rational | IDENT | 'exp(' expr ')' | 'log(' expr ')' | '(' expr ')'
     rational := INT ('/' INT)?
 
+Parentheses and exp/log calls nest at most MAX_DEPTH deep, and a literal
+denominator must be nonzero.
+
 Symbol sums add '{ expr, expr, ... }' tuples with integer multiplicities;
 forms add differentials 'd<name>' joined by '∧'. Identifiers t (or t1..tm)
 are the nilpotent variables; every other identifier must be a declared
@@ -18,7 +21,8 @@ token.
 
 from fractions import Fraction
 
-from .algebra import Algebra, AlgElem
+from .algebra import Algebra
+from .linalg import vec_add, vec_iadd
 from .forms import Form, wedge_insert
 from .ksymbols import SymbolSum
 
@@ -37,6 +41,8 @@ class Token:
 
 
 _OPS = set("+-*^(){},/∧")
+
+MAX_DEPTH = 100
 
 
 def tokenize(text):
@@ -85,6 +91,7 @@ class _Parser:
     def __init__(self, text):
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -110,6 +117,15 @@ class _Parser:
     # -- expressions -----------------------------------------------------------
 
     def expr(self):
+        if self.depth >= MAX_DEPTH:
+            tok = self.peek()
+            raise ValueError(f"expression nested too deeply at {tok.line}:{tok.col}")
+        self.depth += 1
+        node = self._expr()
+        self.depth -= 1
+        return node
+
+    def _expr(self):
         if self.peek().kind in ("+", "-"):
             sign = self.next().kind
             node = self.term()
@@ -152,6 +168,8 @@ class _Parser:
             if self.peek().kind == "/" and self.toks[self.pos + 1].kind == "NUM":
                 self.next()
                 den = self.next()
+                if not int(den.text):
+                    raise ValueError(f"division by zero at {den.line}:{den.col}")
                 return ("num", Fraction(num, int(den.text)))
             return ("num", Fraction(num))
         if tok.kind == "IDENT":
@@ -343,6 +361,15 @@ def parse_form(text, algebra):
     return Form(algebra, degree or 0, terms)
 
 
+def _poly_mul(p, q):
+    """Product of two {texp: Fraction} polynomials."""
+    out = {}
+    for k1, c1 in p.items():
+        shifted = {tuple(a + b for a, b in zip(k1, k2)): c for k2, c in q.items()}
+        vec_iadd(out, shifted, c1)
+    return out
+
+
 def polynomial_terms(text, m=None):
     """Parse a polynomial in the nilpotent variables into {texp: Fraction}."""
     ast = parse_expr(text)
@@ -387,27 +414,9 @@ def polynomial_terms(text, m=None):
         if kind == "neg":
             return {k: -c for k, c in ev(node[1]).items()}
         if kind in ("add", "sub"):
-            out = dict(ev(node[1]))
-            s = 1 if kind == "add" else -1
-            for k, c in ev(node[2]).items():
-                v = out.get(k, 0) + s * c
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-            return out
+            return vec_add(ev(node[1]), ev(node[2]), 1 if kind == "add" else -1)
         if kind == "mul":
-            left, right = ev(node[1]), ev(node[2])
-            out = {}
-            for k1, c1 in left.items():
-                for k2, c2 in right.items():
-                    k = tuple(a + b for a, b in zip(k1, k2))
-                    v = out.get(k, 0) + c1 * c2
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-            return out
+            return _poly_mul(ev(node[1]), ev(node[2]))
         if kind == "div":
             den = ev(node[2])
             if set(den) - {(0,) * m}:
@@ -419,19 +428,13 @@ def polynomial_terms(text, m=None):
         if kind == "pow":
             if node[2] < 0:
                 raise ValueError("negative exponent on non-invertible variable")
-            out = {(0,) * m: Fraction(1)}
-            base = ev(node[1])
-            for _ in range(node[2]):
-                nxt = {}
-                for k1, c1 in out.items():
-                    for k2, c2 in base.items():
-                        k = tuple(a + b for a, b in zip(k1, k2))
-                        v = nxt.get(k, 0) + c1 * c2
-                        if v:
-                            nxt[k] = v
-                        else:
-                            nxt.pop(k, None)
-                out = nxt
+            out, base, e = {(0,) * m: Fraction(1)}, ev(node[1]), node[2]
+            while e:               # square-and-multiply
+                if e & 1:
+                    out = _poly_mul(out, base)
+                e >>= 1
+                if e:
+                    base = _poly_mul(base, base)
             return out
         raise ValueError(f"unknown AST node {kind!r}")
 
@@ -443,9 +446,17 @@ def algebra_to_json(algebra):
 
 
 def algebra_from_json(data):
-    m = int(data["nilpotents"])
-    bound = int(data["bound"])
-    ideal = [polynomial_terms(src, m) for src in data.get("ideal", [])]
-    params = [(p["name"], bool(p.get("invertible", False)))
-              for p in data.get("params", [])]
-    return Algebra(m, bound, ideal=ideal, params=params)
+    if not isinstance(data, dict):
+        raise ValueError("algebra spec must be a JSON object")
+    try:
+        m, bound = int(data["nilpotents"]), int(data["bound"])
+    except (KeyError, TypeError, ValueError):
+        raise ValueError("algebra spec needs integer 'nilpotents' and 'bound'") from None
+    ideal, params = data.get("ideal", []), data.get("params", [])
+    if not (isinstance(ideal, list) and all(isinstance(g, str) for g in ideal)):
+        raise ValueError("'ideal' must be a list of polynomial strings")
+    if not (isinstance(params, list)
+            and all(isinstance(p, dict) and isinstance(p.get("name"), str) for p in params)):
+        raise ValueError("every 'params' entry needs a string 'name'")
+    return Algebra(m, bound, ideal=[polynomial_terms(g, m) for g in ideal],
+                   params=[(p["name"], bool(p.get("invertible", False))) for p in params])

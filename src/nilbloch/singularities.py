@@ -15,25 +15,8 @@ the two counts to the de Rham machinery.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, AlgElem, monomials_of_degree
+from .algebra import Algebra, monomials_of_degree, poly_terms
 from . import derham as dr
-
-
-def _poly_terms(f):
-    """Normalize input to {texp: Fraction}, nilpotent variables only."""
-    if isinstance(f, AlgElem):
-        out = {}
-        for (pexp, texp), c in f.terms.items():
-            if any(pexp):
-                raise ValueError("polynomial must not involve parameters")
-            out[texp] = out.get(texp, 0) + c
-        return {k: Fraction(c) for k, c in out.items() if c}
-    out = {}
-    for k, c in dict(f).items():
-        c = Fraction(c)
-        if c:
-            out[tuple(k)] = out.get(tuple(k), 0) + c
-    return {k: c for k, c in out.items() if c}
 
 
 def _check_critical(terms):
@@ -80,14 +63,14 @@ def _stabilized_dim(terms, m, gens, n_max):
 
 def milnor_number(f, n_max=24):
     """Dimension of Q[[t]]/(Jacobian ideal), with the certifying truncation."""
-    terms = _poly_terms(f)
+    terms = poly_terms(f)
     m = _check_critical(terms)
     return _stabilized_dim(terms, m, _partials(terms, m), n_max)
 
 
 def tyurina_number(f, n_max=24):
     """Dimension of Q[[t]]/(f + Jacobian ideal)."""
-    terms = _poly_terms(f)
+    terms = poly_terms(f)
     m = _check_critical(terms)
     dim, n_used, _ = _stabilized_dim(terms, m, _partials(terms, m) + [terms], n_max)
     return dim, n_used
@@ -119,7 +102,7 @@ class SingularityReport:
 
 def hypersurface_h_dim(f, N):
     """dim H^{m-1}(R', I') for R' = Q[t]/(f, m^N)."""
-    terms = _poly_terms(f)
+    terms = poly_terms(f)
     m = _check_critical(terms)
     A = Algebra(m, N, ideal=[terms])
     report = dr.cohomology(A, dr.FULL, n_max=m)
@@ -130,7 +113,7 @@ def hypersurface_h_dim(f, N):
 
 
 def singularity_report(f, n_max=24):
-    terms = _poly_terms(f)
+    terms = poly_terms(f)
     m = _check_critical(terms)
     mu, n_mu, d_stab = _stabilized_dim(terms, m, _partials(terms, m), n_max)
     tau, _ = tyurina_number(terms, n_max)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nilbloch.algebra import Algebra
-from nilbloch.forms import Form, d, d_elem, form_str, zero_form
+from nilbloch.forms import WHOLE, Form, d, d_elem, form_str, zero_form
 from nilbloch.derham import (EXPLICIT, FULL, POWER, check_certificate,
                              cohomology, is_exact, quotient_class, relative,
                              relative_basis, sigma_report,
@@ -75,6 +75,19 @@ def test_non_exact_certificate_roundtrip():
     assert not cert.exact
     assert cert.witness is not None
     assert check_certificate(cert, rep, FULL)
+
+
+def test_non_exact_explicit_certificate_roundtrip():
+    A = Algebra(2, 6)
+    pres = relative(A, EXPLICIT(CURVE_JAC))
+    reps = [quotient_class(Form(A, 1, v, canonical=True), EXPLICIT(CURVE_JAC))
+            for v in pres.rel_vectors(1)]
+    rep = next(r for r in reps if r.terms)
+    cert = is_exact(rep, EXPLICIT(CURVE_JAC))
+    assert not cert.exact
+    assert cert.witness_block == WHOLE
+    assert check_certificate(cert, rep, EXPLICIT(CURVE_JAC))
+    assert not check_certificate(cert, zero_form(A, 1), EXPLICIT(CURVE_JAC))
 
 
 def test_cutoff_drops_high_degrees():
@@ -206,3 +219,10 @@ def test_rank_equals_merged_global_rank(A, rel):
     ranks = [pres.rank(n) for n in range(A.m + 2)]
     assert ranks == [pres.global_class(n).rank for n in range(A.m + 2)]
     assert any(ranks)
+
+
+def test_parametric_cohomology_two_nilpotents_invertible_param():
+    rows = cohomology(Algebra(2, 3, params=[("a", True)]), FULL, param_bound=1).rows
+    assert {tuple(r["pihat"]) for r in rows} == {(-1,), (0,), (1,)}
+    assert any(r["dim"] for r in rows)
+    assert all(r["dim_h"] == 0 for r in rows)

@@ -10,7 +10,7 @@ from nilbloch import cli
 from nilbloch.algebra import Algebra
 from nilbloch.forms import d, form_of_element, form_str
 from nilbloch.ksymbols import bloch, dlog_symbol
-from nilbloch.parser import (algebra_from_json, algebra_to_json,
+from nilbloch.parser import (MAX_DEPTH, algebra_from_json, algebra_to_json,
                              parse_element, parse_form, parse_symbol_sum,
                              polynomial_terms)
 
@@ -167,6 +167,50 @@ def test_cli_bloch_huge_exponent_returns_quickly():
         env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["zero"] is True
+
+
+def test_cli_cohom_huge_ideal_exponent_returns_quickly():
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilbloch", "cohom", "--m", "1", "--N", "3",
+         "--ideal", "t^30000000"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["all_zero"] is True
+
+
+def test_polynomial_powers_match_repeated_products():
+    for text in ("1+t1-2*t2", "3/2*t1^2*t2 - t2", "t1"):
+        for e in range(7):
+            want = polynomial_terms("*".join([f"({text})"] * e) or "1", 2)
+            assert polynomial_terms(f"({text})^{e}", 2) == want, (text, e)
+    assert polynomial_terms("(t-t)^5") == {}
+
+
+def test_cli_zero_denominator_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["bloch", "--m", "1", "--N", "3",
+                                      "--symbol", "{1+t, 1/0}"])
+    assert code == 2 and not out and "division by zero at 1:9" in err
+
+
+def test_cli_param_without_name_exits_two(capsys, tmp_path):
+    spec = tmp_path / "alg.json"
+    spec.write_text(json.dumps({"nilpotents": 1, "bound": 3,
+                                "params": [{"invertible": True}]}))
+    code, out, err = run_cli(capsys, ["cohom", "--algebra", str(spec)])
+    assert code == 2 and not out and "'name'" in err
+
+
+def test_cli_deep_nesting_exits_two(capsys):
+    deep = "(" * 3000 + "1+t" + ")" * 3000
+    code, out, err = run_cli(capsys, ["bloch", "--m", "1", "--N", "3",
+                                      "--symbol", "{" + deep + ", 2}"])
+    assert code == 2 and not out and "nested too deeply" in err
+    ok = "(" * (MAX_DEPTH - 1) + "1+t" + ")" * (MAX_DEPTH - 1)
+    assert parse_element(ok, R3) == parse_element("1+t", R3)
 
 
 def test_cli_usage_errors_exit_two(capsys):
