@@ -47,6 +47,16 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _ideal_rows(m, gens, bound):
+    """Span of the multiples u*g (u a monomial, g in gens) cut to degree < bound."""
+    rows = RowSpace(order=lambda e: (sum(e), e))
+    for g in gens:
+        for u in monomials_below(m, bound):
+            rows.insert({tuple(x + y for x, y in zip(u, e)): c
+                         for e, c in g.items() if sum(u) + sum(e) < bound})
+    return rows
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
@@ -215,7 +225,7 @@ class Algebra:
         self.param_index = {p.name: i for i, p in enumerate(self.params)}
         self.nil_index = {n: i for i, n in enumerate(self.nil_names)}
 
-        gens = [poly_terms(g) for g in ideal]
+        gens = [g for g in map(poly_terms, ideal) if g]     # zero generators add nothing
         for g in gens:
             for texp in g:
                 if sum(texp) == 0:
@@ -240,28 +250,9 @@ class Algebra:
                                    if not self._mono_dead(e))
         else:
             self.mono_gens = ()
-            order = lambda e: (sum(e), e)
-            rows = RowSpace(order=order)
-            for g in gens:
-                for u in monomials_below(self.m, self.N):
-                    row = {}
-                    for e, c in g.items():
-                        s = tuple(x + y for x, y in zip(u, e))
-                        if sum(s) < self.N:
-                            row = vec_add(row, {s: c})
-                    if row:
-                        rows.insert(row)
+            rows = _ideal_rows(self.m, gens, self.N)
             if not add_bound_power:
-                wide = RowSpace(order=order)
-                for g in gens:
-                    for u in monomials_below(self.m, self.N + 1):
-                        row = {}
-                        for e, c in g.items():
-                            s = tuple(x + y for x, y in zip(u, e))
-                            if sum(s) <= self.N:
-                                row = vec_add(row, {s: c})
-                        if row:
-                            wide.insert(row)
+                wide = _ideal_rows(self.m, gens, self.N + 1)
                 for mono in monomials_of_degree(self.m, self.N):
                     if not wide.contains({mono: Fraction(1)}):
                         raise ValueError("degree-N monomials do not all vanish")
@@ -323,12 +314,9 @@ class Algebra:
 
     def element(self, terms):
         clean = {}
-        for k, c in terms.items():
-            c = Fraction(c)
-            if c:
-                pexp, texp = k
-                clean[(tuple(pexp), tuple(texp))] = clean.get((tuple(pexp), tuple(texp)), 0) + c
-        return AlgElem(self, self.normal_form({k: c for k, c in clean.items() if c}))
+        for (pexp, texp), c in terms.items():
+            vec_iadd(clean, {(tuple(pexp), tuple(texp)): Fraction(c)})
+        return AlgElem(self, self.normal_form(clean))
 
     def mul_terms(self, u, v):
         out = {}

@@ -3,8 +3,9 @@
 Every subcommand prints one JSON report to stdout (keys sorted, so two
 runs of the same command differ at most in the timing field) and exits 0
 when all verdicts in the report pass, 1 on a verification failure, 2 on
-usage or input errors. --summary adds short human-readable lines on
-stderr.
+usage or input errors, and 3 on an internal error (any other exception),
+with a JSON error object instead of the report. --summary adds short
+human-readable lines on stderr.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import os
 import random
 import sys
 import time
+import traceback
 
 from .algebra import Algebra
 from . import parser as ps
@@ -42,6 +44,8 @@ def _load_algebra(args):
     if getattr(args, "algebra", None):
         with open(args.algebra) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("algebra spec must be a JSON object")
     if getattr(args, "N", None) is not None:
         data["bound"] = args.N
     if getattr(args, "m", None) is not None:
@@ -63,6 +67,8 @@ def _algebra_flags(p, need_file=True):
 
 def _cmd_cohom(args):
     A = _load_algebra(args)
+    if args.param_bound is not None and not A.n_params:
+        raise ValueError("--param-bound needs an algebra with parameters")
     rel = _parse_relative(args.relative, A)
     rep = dr.cohomology(A, rel, param_bound=args.param_bound)
     out = rep.to_json()
@@ -216,6 +222,9 @@ def _cmd_selftest(args):
     return out, ok, lines
 
 
+_NONNEGATIVE = ("cutoff", "param_bound", "count", "max_degree", "N_max", "p")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="nilbloch",
@@ -293,13 +302,18 @@ def main(argv=None):
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        for name in _NONNEGATIVE:
+            if (getattr(args, name, None) or 0) < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must not be negative")
         out, passed, lines = args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        traceback.print_exc()
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"command": args.cmd, "error": error}, indent=2, sort_keys=True))
+        return 3
     out["command"] = args.cmd
     out["timing_seconds"] = round(time.perf_counter() - t0, 6)
     print(json.dumps(out, indent=2, sort_keys=True, default=str))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import RowSpace, nullspace, vec_dot, vec_iadd
+from .linalg import RowSpace, independent, nullspace, vec_dot, vec_iadd
 from .algebra import Algebra, RingMap, poly_terms
 from . import forms as fm
 from .forms import Form, WHOLE, form_block, block_key, coord_sort_key
@@ -110,7 +110,7 @@ class _Relative:
         rows = RowSpace(order=coord_sort_key(self.A))
         for key in self.block_keys(n):
             for row in self.class_rows(n, key).rows.values():
-                rows.insert(dict(row))
+                rows.insert(row)
         return rows
 
     def truncate(self, form, cutoff):
@@ -121,12 +121,7 @@ class _Relative:
         return Form(self.A, form.degree, keep, canonical=True)
 
     def _split(self, form):
-        if not self.graded:
-            return {WHOLE: form.terms}
-        blocks = {}
-        for coord, c in form.terms.items():
-            blocks.setdefault(block_key(self.A, *coord), {})[coord] = c
-        return blocks
+        return fm.split_blocks(self.A, form.terms) if self.graded else {WHOLE: form.terms}
 
     def reduce_class(self, form):
         out = {}
@@ -226,7 +221,7 @@ class WholeRelative(_Relative):
         if n not in self._member:
             rows = RowSpace(order=coord_sort_key(self.A))
             for v in self._basis(n):
-                rows.insert(dict(v))
+                rows.insert(v)
             self._member[n] = rows
         return self._member[n].contains(form.terms)
 
@@ -311,7 +306,7 @@ def check_certificate(cert, form, rel):
     if vec_dot(w, work.terms) == 0:
         return False
     rows = pres.class_rows(form.degree, cert.witness_block).rows.values()
-    return all(vec_dot(w, dict(row)) == 0 for row in rows)
+    return all(vec_dot(w, row) == 0 for row in rows)
 
 
 @dataclass
@@ -375,13 +370,9 @@ def _quotient_setup(algebra, rel):
 
 def _class_basis(pres, algebra, n):
     """Independent canonical representatives of Omega^n_rel / d Omega^{n-1}_rel."""
-    span = RowSpace(order=coord_sort_key(algebra))
-    reps = []
-    for v in pres.rel_vectors(n):
-        red = pres.reduce_class(Form(algebra, n, v, canonical=True))
-        if red.terms and span.insert(dict(red.terms)) is not None:
-            reps.append(red)
-    return reps
+    reds = [pres.reduce_class(Form(algebra, n, v, canonical=True)).terms
+            for v in pres.rel_vectors(n)]
+    return [Form(algebra, n, v, canonical=True) for v in independent(reds)]
 
 
 def _h_basis(pres, algebra, n):
@@ -391,15 +382,9 @@ def _h_basis(pres, algebra, n):
     vecs = pres.rel_vectors(n)
     images = [fm.d(Form(algebra, n, v, canonical=True)).terms for v in vecs]
     kernel = nullspace(images, order=coord_sort_key(algebra))
-    span = RowSpace(order=coord_sort_key(algebra))
-    for row in pres.global_class(n).rows.values():
-        span.insert(dict(row))
-    reps = []
-    for combo in kernel:
-        vec = _lift(combo, vecs)
-        if span.insert(dict(vec)) is not None:
-            reps.append(Form(algebra, n, vec, canonical=True))
-    return reps
+    cycles = [_lift(combo, vecs) for combo in kernel]
+    return [Form(algebra, n, v, canonical=True)
+            for v in independent(cycles, pres.global_class(n))]
 
 
 @dataclass
@@ -468,14 +453,13 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
                            for v in vecsJ)
         comp_zero = all(not push(Form(A, kdeg, v, canonical=True)).terms
                         for v in vecsJ)
-        span = RowSpace(order=coord_sort_key(Aq))
-        for v in presI.rel_vectors(kdeg):
-            span.insert(push(Form(A, kdeg, v, canonical=True)).terms)
+        rank_push = len(independent(push(Form(A, kdeg, v, canonical=True)).terms
+                                    for v in presI.rel_vectors(kdeg)))
         row = {"degree": kdeg, "dim_inner": dimJ, "dim_outer": dimI,
                "dim_quotient": dimQ,
                "inclusion_ok": inclusion_ok,
                "composite_zero": comp_zero,
-               "surjective": span.rank == dimQ,
+               "surjective": rank_push == dimQ,
                "dims_additive": dimJ + dimQ == dimI}
         degreewise.append(row)
         seq4_ok = seq4_ok and all(row[k] for k in
@@ -487,25 +471,9 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
     repsQ = _class_basis(presQ, Aq, n)
     A_dim, B_dim, C_dim = len(repsJ), len(repsI), len(repsQ)
 
-    span = RowSpace(order=coord_sort_key(A))
-    rank_incl = 0
-    incl_images = []
-    for rep in repsJ:
-        img = presI.reduce_class(rep)
-        incl_images.append(img)
-        if img.terms and span.insert(dict(img.terms)) is not None:
-            rank_incl += 1
-
-    span = RowSpace(order=coord_sort_key(Aq))
-    rank_proj = 0
-    comp_zero_classes = True
-    for rep in repsI:
-        img = presQ.reduce_class(push(rep))
-        if img.terms and span.insert(dict(img.terms)) is not None:
-            rank_proj += 1
-    for rep in repsJ:
-        if presQ.reduce_class(push(rep)).terms:
-            comp_zero_classes = False
+    rank_incl = len(independent(presI.reduce_class(rep).terms for rep in repsJ))
+    rank_proj = len(independent(presQ.reduce_class(push(rep)).terms for rep in repsI))
+    comp_zero_classes = all(not presQ.reduce_class(push(rep)).terms for rep in repsJ)
 
     h_prev = _h_basis(presI, A, n - 1)
     h_quot = _h_basis(presQ, Aq, n - 1)
@@ -528,18 +496,10 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
             alpha_ok = False
             continue
         alpha_images.append(presJ.reduce_class(deta))
-    span = RowSpace(order=coord_sort_key(A))
-    rank_alpha = sum(1 for img in alpha_images
-                     if img.terms and span.insert(dict(img.terms)) is not None)
+    rank_alpha = len(independent(img.terms for img in alpha_images))
     iota_alpha_zero = all(not presI.reduce_class(img).terms for img in alpha_images)
-
-    base = RowSpace(order=coord_sort_key(Aq))
-    for row in presQ.global_class(n - 1).rows.values():
-        base.insert(dict(row))
-    rank_beta = 0
-    for rep in h_prev:
-        if base.insert(push(rep).terms) is not None:
-            rank_beta += 1
+    rank_beta = len(independent((push(rep).terms for rep in h_prev),
+                                presQ.global_class(n - 1)))
 
     correction = len(h_quot) - rank_beta
     exact_at_h = rank_alpha == correction
@@ -591,17 +551,13 @@ def sigma_report(N, degrees=(0, 1, 2)):
     passed = True
     for n in degrees:
         basis = dom.rel_vectors(n)
-        span = RowSpace(order=coord_sort_key(AN))
-        landed = True
-        for v in basis:
-            img = fm.push_form(sigma, Form(A2, n, v, canonical=True))
-            if not tgt.is_relative(img):
-                landed = False
-            span.insert(dict(img.terms))
+        imgs = [fm.push_form(sigma, Form(A2, n, v, canonical=True)) for v in basis]
+        landed = all(tgt.is_relative(img) for img in imgs)
+        rank = len(independent(img.terms for img in imgs))
         dim_dom = len(basis)
         dim_tgt = tgt.dim(n)
-        bij = landed and span.rank == dim_dom == dim_tgt
+        bij = landed and rank == dim_dom == dim_tgt
         rows.append({"degree": n, "dim_domain": dim_dom, "dim_target": dim_tgt,
-                     "rank": span.rank, "bijective": bij})
+                     "rank": rank, "bijective": bij})
         passed = passed and bij
     return SigmaReport(N, rows, passed)

@@ -18,7 +18,7 @@ monomial ideal (parameter-free only) there is a single whole-space block.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import RowSpace
+from .linalg import RowSpace, vec_add, vec_iadd, vec_scale
 from .algebra import AlgElem, monomials_of_degree
 
 WHOLE = "whole"
@@ -137,13 +137,7 @@ class FormBlock:
                                     continue
                                 sign, word = wedge_insert(v, W)
                                 nf = A.normal_form({(pexp, raw): ca * a[v] * sign})
-                                for mono, c in nf.items():
-                                    coord = (mono, word)
-                                    val = row.get(coord, 0) + c
-                                    if val:
-                                        row[coord] = val
-                                    else:
-                                        row.pop(coord, None)
+                                vec_iadd(row, {(mono, word): c for mono, c in nf.items()})
                         if row:
                             yield row
             return
@@ -199,29 +193,29 @@ def form_block(algebra, n, key):
     return cache[(n, key)]
 
 
+def split_blocks(algebra, terms):
+    """Terms grouped by block_key, or one WHOLE block without a monomial ideal."""
+    if not algebra.monomial_ideal:
+        return {WHOLE: terms}
+    blocks = {}
+    for coord, c in terms.items():
+        blocks.setdefault(block_key(algebra, *coord), {})[coord] = c
+    return blocks
+
+
 def canonical_terms(algebra, n, raw):
     """Normal-form coefficients, then reduce blockwise against relations."""
     by_word = {}
     for (mono, word), c in raw.items():
         if c:
-            by_word.setdefault(word, {})[mono] = by_word.get(word, {}).get(mono, 0) + c
+            by_word.setdefault(word, {})[mono] = Fraction(c)
     flat = {}
     for word, poly in by_word.items():
-        nf = algebra.normal_form({k: Fraction(c) for k, c in poly.items() if c})
-        for mono, c in nf.items():
+        for mono, c in algebra.normal_form(poly).items():
             flat[(mono, word)] = c
-    if not algebra.monomial_ideal:
-        blocks = {}
-        for coord, c in flat.items():
-            blocks.setdefault(WHOLE, {})[coord] = c
-    else:
-        blocks = {}
-        for coord, c in flat.items():
-            blocks.setdefault(block_key(algebra, *coord), {})[coord] = c
     out = {}
-    for key, vec in blocks.items():
-        red = form_block(algebra, n, key).reduce(vec)
-        out.update(red)
+    for key, vec in split_blocks(algebra, flat).items():
+        out.update(form_block(algebra, n, key).reduce(vec))
     return out
 
 
@@ -251,14 +245,8 @@ class Form:
         if not isinstance(other, Form) or other.algebra is not self.algebra \
                 or other.degree != self.degree:
             return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return Form(self.algebra, self.degree, out, canonical=True)
+        return Form(self.algebra, self.degree, vec_add(self.terms, other.terms),
+                    canonical=True)
 
     def __neg__(self):
         return Form(self.algebra, self.degree,
@@ -271,10 +259,8 @@ class Form:
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Form(self.algebra, self.degree, {}, canonical=True)
-            return Form(self.algebra, self.degree,
-                        {k: c * other for k, c in self.terms.items()}, canonical=True)
+            return Form(self.algebra, self.degree, vec_scale(self.terms, other),
+                        canonical=True)
         if isinstance(other, AlgElem):
             return scale(other, self)
         return NotImplemented
@@ -302,24 +288,19 @@ def form_of_element(elem):
 def d(form):
     """Exterior derivative."""
     A = form.algebra
+    m = A.m
     raw = {}
     for ((pexp, texp), word), c in form.terms.items():
-        for v in range(A.m):
-            if texp[v]:
-                sign, new = wedge_insert(v, word)
-                if not sign:
-                    continue
-                mono = (pexp, texp[:v] + (texp[v] - 1,) + texp[v + 1:])
-                k = (mono, new)
-                raw[k] = raw.get(k, 0) + c * texp[v] * sign
-        for j in range(A.n_params):
-            if pexp[j]:
-                sign, new = wedge_insert(A.m + j, word)
-                if not sign:
-                    continue
-                mono = (pexp[:j] + (pexp[j] - 1,) + pexp[j + 1:], texp)
-                k = (mono, new)
-                raw[k] = raw.get(k, 0) + c * pexp[j] * sign
+        exps = texp + pexp      # indexed like wedge words: dt_v, then da_j
+        for g, e in enumerate(exps):
+            if not e:
+                continue
+            sign, new = wedge_insert(g, word)
+            if not sign:
+                continue
+            low = exps[:g] + (e - 1,) + exps[g + 1:]
+            k = ((low[m:], low[:m]), new)
+            raw[k] = raw.get(k, 0) + c * e * sign
     return Form(A, form.degree + 1, raw)
 
 
@@ -338,13 +319,7 @@ def wedge(f, g):
             if not sign:
                 continue
             prod = A.mul_terms({m1: c1}, {m2: c2 * sign})
-            for mono, c in prod.items():
-                k = (mono, word)
-                v = raw.get(k, 0) + c
-                if v:
-                    raw[k] = v
-                else:
-                    raw.pop(k, None)
+            vec_iadd(raw, {(mono, word): c for mono, c in prod.items()})
     return Form(A, f.degree + g.degree, raw)
 
 
@@ -353,13 +328,7 @@ def scale(elem, form):
     raw = {}
     for (mono, word), c in form.terms.items():
         prod = A.mul_terms(elem.terms, {mono: c})
-        for mono2, c2 in prod.items():
-            k = (mono2, word)
-            v = raw.get(k, 0) + c2
-            if v:
-                raw[k] = v
-            else:
-                raw.pop(k, None)
+        vec_iadd(raw, {(mono2, word): c2 for mono2, c2 in prod.items()})
     return Form(A, form.degree, raw)
 
 

@@ -16,10 +16,10 @@ independence check; the two agree as classes.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RowSpace
+from .linalg import independent
 from .algebra import Algebra, AlgElem, RingMap
 from . import forms as fm
-from .forms import Form, coord_sort_key, block_key
+from .forms import Form, block_key
 from . import derham as dr
 
 
@@ -352,11 +352,7 @@ def surjectivity_witnesses(A, rel, n, symbols=None):
             raise ValueError("parametric mode needs explicit generator symbols")
         symbols = _default_generators(A, n)
     classes = [bloch(s).rep for s in symbols]
-    span = RowSpace(order=coord_sort_key(A))
-    rank = 0
-    for rep in classes:
-        if rep.terms and span.insert(dict(rep.terms)) is not None:
-            rank += 1
+    rank = len(independent(rep.terms for rep in classes))
     pihats = None
     if A.n_params:
         pihats = sorted({block_key(A, *coord)[1] for rep in classes for coord in rep.terms})

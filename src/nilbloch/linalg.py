@@ -12,15 +12,20 @@ exactly the set of pivots whose row holds k; no other key is in cols. (A
 pivot key sits only in its own row, so indexing it would say nothing.)
 Inserting a row with a new pivot back-reduces just the rows in that key's
 column instead of scanning the whole basis.
+
+The helpers around it are the one sparse-vector accumulate of the package
+(vec_iadd in place, vec_add as a copy, vec_scale) and the one span test
+(independent: which vectors extend a span, in order).
 """
 
 from fractions import Fraction
 
 
-def vec_iadd(u, v, c=Fraction(1)):
+def vec_iadd(u, v, c=1):
     """u += c*v in place, dropping zeros; returns u."""
+    one = c == 1
     for k, a in v.items():
-        b = u.get(k, 0) + c * a
+        b = u.get(k, 0) + (a if one else c * a)
         if b:
             u[k] = b
         else:
@@ -28,7 +33,7 @@ def vec_iadd(u, v, c=Fraction(1)):
     return u
 
 
-def vec_add(u, v, c=Fraction(1)):
+def vec_add(u, v, c=1):
     """u + c*v as a new dict, dropping zeros."""
     return vec_iadd(dict(u), v, c)
 
@@ -152,6 +157,16 @@ class RowSpace:
         return w
 
 
+def independent(vectors, base=None):
+    """The vectors that extend the span of base and of the ones before them.
+
+    base is a RowSpace (fresh by default) and grows with every kept vector;
+    zero vectors never extend a span.
+    """
+    span = RowSpace() if base is None else base
+    return [v for v in vectors if span.insert(v) is not None]
+
+
 def nullspace(vectors, order=None):
     """Basis of the kernel of the 'stack these rows' map.
 
@@ -165,5 +180,5 @@ def nullspace(vectors, order=None):
         if combo is None:
             span.insert(v, tag=idx)
         else:
-            kernel.append(vec_add({idx: Fraction(1)}, vec_scale(combo, -1)))
+            kernel.append(vec_add({idx: Fraction(1)}, combo, -1))
     return kernel

@@ -3,13 +3,15 @@
 Grammar (whitespace-insensitive):
 
     expr   := ['-'|'+'] term (('+'|'-') term)*
-    term   := factor ('*' factor)*
+    term   := factor (('*'|'/') factor)*
     factor := atom ('^' ['-'] INT)?
     atom   := rational | IDENT | 'exp(' expr ')' | 'log(' expr ')' | '(' expr ')'
     rational := INT ('/' INT)?
 
 Parentheses and exp/log calls nest at most MAX_DEPTH deep, and a literal
-denominator must be nonzero.
+denominator must be nonzero. A sum or product parses to one flat node
+(sum of terms, prod of factors with divisors wrapped in inv), so only that
+nesting deepens the tree, however many terms an input has.
 
 Symbol sums add '{ expr, expr, ... }' tuples with integer multiplicities;
 forms add differentials 'd<name>' joined by '∧'. Identifiers t (or t1..tm)
@@ -21,9 +23,9 @@ token.
 
 from fractions import Fraction
 
-from .algebra import Algebra
-from .linalg import vec_add, vec_iadd
-from .forms import Form, wedge_insert
+from .algebra import Algebra, AlgElem
+from .linalg import vec_iadd
+from .forms import Form
 from .ksymbols import SymbolSum
 
 
@@ -125,27 +127,32 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def _expr(self):
-        if self.peek().kind in ("+", "-"):
-            sign = self.next().kind
-            node = self.term()
-            if sign == "-":
-                node = ("neg", node)
-        else:
-            node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+    def signed_list(self, item):
+        """[(sign, item()), ...]: an optional leading sign, then '+'/'-' separated."""
+        out = []
+        while True:
+            sign = 1
+            if self.peek().kind in ("+", "-"):
+                sign = -1 if self.next().kind == "-" else 1
+            elif out:
+                return out
+            out.append((sign, item()))
 
-    def term(self):
-        node = self.factor()
+    def _expr(self):
+        terms = [t if s > 0 else ("neg", t) for s, t in self.signed_list(self.term)]
+        return terms[0] if len(terms) == 1 else ("sum", terms)
+
+    def factors(self):
+        out = [self.factor()]
         while self.peek().kind in ("*", "/"):
             op = self.next().kind
             rhs = self.factor()
-            node = ("mul", node, rhs) if op == "*" else ("div", node, rhs)
-        return node
+            out.append(rhs if op == "*" else ("inv", rhs))
+        return out
+
+    def term(self):
+        fs = self.factors()
+        return fs[0] if len(fs) == 1 else ("prod", fs)
 
     def factor(self):
         node = self.atom()
@@ -204,42 +211,15 @@ class _Parser:
         return coeff, self.symbol_tuple()
 
     def symbol_sum(self):
-        out = []
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            if self.next().kind == "-":
-                sign = -1
-        c, tup = self.symbol_term()
-        out.append((sign * c, tup))
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.next().kind == "+" else -1
-            c, tup = self.symbol_term()
-            out.append((sign * c, tup))
-        return out
+        return [(s * c, tup) for s, (c, tup) in self.signed_list(self.symbol_term)]
 
     # -- forms -------------------------------------------------------------------
 
     def form_sum(self):
-        out = []
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            if self.next().kind == "-":
-                sign = -1
-        out.append((sign, self.form_term()))
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.next().kind == "+" else -1
-            out.append((sign, self.form_term()))
-        return out
+        return self.signed_list(self.form_term)
 
     def form_term(self):
-        factors = [self.factor()]
-        while self.peek().kind in ("*", "/"):
-            op = self.next().kind
-            rhs = self.factor()
-            if op == "/":
-                factors[-1] = ("div", factors[-1], rhs)
-            else:
-                factors.append(rhs)
+        factors = self.factors()
         word = []
         while self.peek().kind == "∧":
             self.next()
@@ -265,17 +245,21 @@ def to_elem(ast, algebra):
         return algebra.var(ast[1])
     if kind == "neg":
         return -to_elem(ast[1], algebra)
-    if kind == "add":
-        return to_elem(ast[1], algebra) + to_elem(ast[2], algebra)
-    if kind == "sub":
-        return to_elem(ast[1], algebra) - to_elem(ast[2], algebra)
-    if kind == "mul":
-        return to_elem(ast[1], algebra) * to_elem(ast[2], algebra)
-    if kind == "div":
-        den = to_elem(ast[2], algebra)
+    if kind == "sum":
+        terms = {}
+        for node in ast[1]:
+            vec_iadd(terms, to_elem(node, algebra).terms)
+        return AlgElem(algebra, terms)     # a sum of normal forms is one
+    if kind == "prod":
+        out = to_elem(ast[1][0], algebra)
+        for node in ast[1][1:]:
+            out = out * to_elem(node, algebra)
+        return out
+    if kind == "inv":
+        den = to_elem(ast[1], algebra)
         if not den.is_unit():
             raise ValueError("division by non-unit")
-        return to_elem(ast[1], algebra) * algebra.invert(den)
+        return algebra.invert(den)
     if kind == "pow":
         base = to_elem(ast[1], algebra)
         e = ast[2]
@@ -351,13 +335,7 @@ def parse_form(text, algebra):
         elif degree != len(word):
             raise ValueError("mixed form degrees")
         part = coeff * elem
-        for mono, c in part.terms.items():
-            key = (mono, word)
-            val = terms.get(key, 0) + c
-            if val:
-                terms[key] = val
-            else:
-                terms.pop(key, None)
+        vec_iadd(terms, {(mono, word): c for mono, c in part.terms.items()})
     return Form(algebra, degree or 0, terms)
 
 
@@ -381,8 +359,9 @@ def polynomial_terms(text, m=None):
         elif node[0] == "call":
             raise ValueError("exp/log not allowed in polynomials")
         for sub in node[1:]:
-            if isinstance(sub, tuple):
-                walk(sub)
+            for child in sub if isinstance(sub, list) else [sub]:
+                if isinstance(child, tuple):
+                    walk(child)
 
     walk(ast)
     if m is None:
@@ -404,7 +383,7 @@ def polynomial_terms(text, m=None):
     def ev(node):
         kind = node[0]
         if kind == "num":
-            return {(0,) * m: node[1]}
+            return {(0,) * m: node[1]} if node[1] else {}
         if kind == "var":
             if node[1] not in index:
                 raise ValueError(f"unknown variable {node[1]!r}")
@@ -413,18 +392,21 @@ def polynomial_terms(text, m=None):
             return {tuple(e): Fraction(1)}
         if kind == "neg":
             return {k: -c for k, c in ev(node[1]).items()}
-        if kind in ("add", "sub"):
-            return vec_add(ev(node[1]), ev(node[2]), 1 if kind == "add" else -1)
-        if kind == "mul":
-            return _poly_mul(ev(node[1]), ev(node[2]))
-        if kind == "div":
-            den = ev(node[2])
-            if set(den) - {(0,) * m}:
+        if kind == "sum":
+            out = {}
+            for sub in node[1]:
+                vec_iadd(out, ev(sub))
+            return out
+        if kind == "prod":
+            out = ev(node[1][0])
+            for sub in node[1][1:]:
+                out = _poly_mul(out, ev(sub))
+            return out
+        if kind == "inv":
+            den = ev(node[1])
+            if set(den) != {(0,) * m}:
                 raise ValueError("division by non-unit")
-            c0 = den.get((0,) * m, 0)
-            if not c0:
-                raise ValueError("division by non-unit")
-            return {k: c / c0 for k, c in ev(node[1]).items()}
+            return {(0,) * m: 1 / den[(0,) * m]}
         if kind == "pow":
             if node[2] < 0:
                 raise ValueError("negative exponent on non-invertible variable")

@@ -263,3 +263,85 @@ def test_cli_summary_goes_to_stderr(capsys):
     assert code == 0
     json.loads(out)
     assert "bijective" in err
+
+
+# -- long flat input, zero generators, exit codes ----------------------------------
+
+LONG = 3000
+
+
+def test_long_flat_sums_and_products_parse():
+    total = "+".join(["t"] * (LONG - 1) + ["1"])
+    assert parse_element(total, R3) == 1 + (LONG - 1) * R3.nil(0)
+    assert polynomial_terms(total) == {(1,): LONG - 1, (0,): 1}
+    assert polynomial_terms("-" + "-".join(["t"] * LONG)) == {(1,): -LONG}
+    t = R3.nil(0)
+    assert parse_element("*".join(["(1+t)"] * LONG), R3) == (1 + t) ** LONG
+    assert parse_element("/".join(["(1+t)"] * LONG), R3) == (1 + t) ** (2 - LONG)
+    assert polynomial_terms("*".join(["2"] * (LONG - 1) + ["t"])) == {(1,): 2 ** (LONG - 1)}
+
+
+def test_cli_long_flat_sum_and_product(capsys):
+    def bloch_class(symbol):
+        code, out, _ = run_cli(capsys, ["bloch", "--m", "1", "--N", "3", "--symbol", symbol])
+        assert code == 0
+        return json.loads(out)["class"]
+
+    total = "+".join(["t"] * (LONG - 1) + ["1"])
+    assert bloch_class("{" + total + ", 2}") == bloch_class(f"{{1+{LONG - 1}*t, 2}}")
+    prod = "*".join(["(1+t)"] * LONG)
+    expected = f"{{1+{LONG}*t+{LONG * (LONG - 1) // 2}*t^2, 2}}"
+    assert bloch_class("{" + prod + ", 2}") == bloch_class(expected)
+    poly = "+".join(["t1^3"] * (LONG // 2) + ["t2^3"] * (LONG // 2))
+    code, out, _ = run_cli(capsys, ["singular", "--poly", poly])
+    data = json.loads(out)
+    assert code == 0 and (data["mu"], data["tau"]) == (4, 4)
+
+
+def test_zero_ideal_generators_are_dropped(capsys):
+    assert polynomial_terms("0", 1) == {}
+    assert polynomial_terms("t-t", 1) == {}
+    assert polynomial_terms("2*t - 2*t + t^2", 1) == {(2,): 1}
+    A = Algebra(1, 3, ideal=[polynomial_terms("t-t", 1), {(2,): 0}])
+    assert A.monomial_ideal and A.nil_basis == Algebra(1, 3).nil_basis
+    B = algebra_from_json({"nilpotents": 1, "bound": 3, "ideal": ["0"],
+                           "params": [{"name": "a"}]})
+    assert B.monomial_ideal and B.n_params == 1
+    code, out, _ = run_cli(capsys, ["cohom", "--m", "1", "--N", "3", "--ideal", "0"])
+    assert code == 0 and json.loads(out)["all_zero"] is True
+
+
+def test_cli_algebra_file_holding_a_list_exits_two(tmp_path, capsys):
+    spec = tmp_path / "alg.json"
+    spec.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, ["cohom", "--algebra", str(spec), "--N", "3"])
+    assert code == 2 and not out and "JSON object" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bloch", "--m", "1", "--N", "3", "--symbol", "{1+t, 2}", "--cutoff", "-1"],
+    ["cohom", "--algebra", "-", "--param-bound", "-1"],
+    ["verify-steinberg", "--count", "-5"],
+    ["verify-homotopy", "--max-degree", "-1"],
+    ["singular", "--poly", "t1^3+t2^3", "--N-max", "-2"],
+    ["verify-filtration", "--p", "-2"],
+])
+def test_cli_negative_counts_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and "must not be negative" in err
+
+
+def test_cli_param_bound_without_params_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["cohom", "--m", "1", "--N", "3", "--param-bound", "1"])
+    assert code == 2 and not out and "parameters" in err
+
+
+def test_cli_internal_error_exits_three(capsys, monkeypatch):
+    def boom(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_singular", boom)
+    code, out, err = run_cli(capsys, ["singular", "--poly", "t1^3+t2^3"])
+    assert code == 3 and "ZeroDivisionError: boom" in err
+    assert json.loads(out) == {"command": "singular",
+                               "error": {"type": "ZeroDivisionError", "message": "boom"}}
