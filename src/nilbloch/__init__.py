@@ -19,7 +19,7 @@ from .ksymbols import (BlochClass, SymbolSum, bloch, dlog_symbol, lambda_map,
                        surjectivity_witnesses, symbol, theta_maps,
                        verify_filtration_vanishing, verify_key_identity,
                        verify_skew)
-from .singularities import (SingularityReport, milnor_number,
+from .singularities import (SingularityReport, jacobian, milnor_number,
                             singularity_report, tyurina_number)
 from .parser import (algebra_from_json, algebra_to_json, parse_element,
                      parse_expr, parse_form, parse_symbol_sum,

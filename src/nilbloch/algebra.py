@@ -13,6 +13,7 @@ exponents may be negative only on parameters declared invertible.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .linalg import RowSpace, vec_add, vec_iadd
 
@@ -373,55 +374,46 @@ class Algebra:
             return False
         return all(e == 0 or self.params[i].invertible for i, e in enumerate(pexp))
 
-    def unit_split(self, u):
-        """u = s*(1+x) with s a unit of S and x nilpotent; returns (s, x)."""
+    def _unit_parts(self, u):
+        """u = s*(1+x) with s a unit of S and x nilpotent; returns (s, s^-1, x)."""
         if not self.is_unit(u):
             raise ValueError("not a unit")
         (pexp, texp), c = next(iter(u.augmentation().terms.items()))
         s = AlgElem(self, {(pexp, texp): c})
         s_inv = AlgElem(self, {(tuple(-e for e in pexp), texp): Fraction(1) / c})
-        x = u * s_inv - self.one()
+        return s, s_inv, u * s_inv - self.one()
+
+    def unit_split(self, u):
+        """u = s*(1+x) with s a unit of S and x nilpotent; returns (s, x)."""
+        s, _, x = self._unit_parts(u)
         return s, x
 
-    def invert(self, u):
-        s, x = self.unit_split(u)
-        (pexp, texp), c = next(iter(s.terms.items()))
-        s_inv = AlgElem(self, {(tuple(-e for e in pexp), texp): Fraction(1) / c})
-        out = self.one()
+    def _series(self, x, coeff):
+        """sum over k >= 0 of coeff(k) * x^k; stops at the first x^k = 0."""
+        out = self.const(coeff(0))
         p = x
-        sign = -1
+        k = 1
         while p.terms:
-            out = out + p * sign
+            out = out + p * coeff(k)
             p = p * x
-            sign = -sign
-        return s_inv * out
+            k += 1
+        return out
+
+    def invert(self, u):
+        _, s_inv, x = self._unit_parts(u)
+        return s_inv * self._series(x, lambda k: (-1) ** k)
 
     def log1p(self, x):
         """log(1+x) for nilpotent x, by the truncating alternating series."""
         if not x.is_nilpotent():
             raise ValueError("log1p requires a nilpotent argument")
-        out = self.zero()
-        p = x
-        k = 1
-        while p.terms:
-            out = out + p * Fraction((-1) ** (k + 1), k)
-            p = p * x
-            k += 1
-        return out
+        return self._series(x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
     def exp_nil(self, y):
         """exp(y) = sum y^k / k! for nilpotent y."""
         if not y.is_nilpotent():
             raise ValueError("exp_nil requires a nilpotent argument")
-        out = self.one()
-        term = self.one()
-        k = 1
-        while True:
-            term = term * y * Fraction(1, k)
-            if not term.terms:
-                return out
-            out = out + term
-            k += 1
+        return self._series(y, lambda k: Fraction(1, factorial(k)))
 
     # -- substitution -----------------------------------------------------------
 

@@ -10,8 +10,6 @@ human-readable lines on stderr.
 
 import argparse
 import json
-import os
-import random
 import sys
 import time
 import traceback
@@ -22,7 +20,6 @@ from . import forms as fm
 from . import derham as dr
 from . import ksymbols as ks
 from . import singularities as sg
-from . import sampling as sp
 from . import acceptance
 
 
@@ -107,17 +104,7 @@ def _cmd_verify_homotopy(args):
 
 
 def _cmd_verify_steinberg(args):
-    rng = random.Random(args.seed)
-    algebras = sp.small_algebras()
-    rows = []
-    ok = True
-    for _ in range(args.count):
-        A = rng.choice(algebras)
-        a, x = sp.steinberg_instance(rng, A)
-        zero = ks.bloch(ks.steinberg_element(a, x)).is_zero()
-        rows.append({"m": A.m, "N": A.N, "a": str(a.constant()),
-                     "x": str(x), "zero": zero})
-        ok = ok and zero
+    rows, ok = acceptance.steinberg_scan(args.seed, args.count)
     out = {"count": args.count, "seed": args.seed, "passed": ok,
            "instances": rows}
     lines = [f"bloch(zeta(a,x)) = 0 for {args.count} random instances: "
@@ -136,30 +123,14 @@ def _cmd_verify_key_identity(args):
 
 
 def _cmd_verify_filtration(args):
-    p = args.p
-    rows = []
-    ok = True
-    if args.i is not None and args.j is not None:
-        pairs = [(args.i, args.j)]
-    else:
-        pairs = [(i, s - i) for s in range(p, p + 3)
-                 for i in range(1, s) if i <= s - i]
-    for (i, j) in pairs:
-        rep = ks.verify_filtration_vanishing(p, i, j)
-        rows.append(rep.to_json())
-        ok = ok and rep.vanishes
-    out = {"p": p, "window": rows, "passed": ok}
-    if p >= 3 and args.i is None:
-        wit = ks.filtration_strictness_witness(p)
-        found = wit is not None and not wit["certificate"].exact
-        out["strictness"] = {
-            "found": found,
-            "i": wit["i"], "j": wit["j"], "symbol": wit["symbol"],
-            "class": wit["rep"],
-        } if wit else {"found": False}
-        ok = ok and found
-        out["passed"] = ok
-    lines = [f"V_p window at p={p}: {'ok' if ok else 'FAILED'}"]
+    if (args.i is None) != (args.j is None):
+        raise ValueError("give both --i and --j, or neither")
+    pairs = None if args.i is None else [(args.i, args.j)]
+    rows, strict, ok = acceptance.filtration_scan(args.p, pairs)
+    out = {"p": args.p, "window": rows, "passed": ok}
+    if strict is not None:
+        out["strictness"] = strict
+    lines = [f"V_p window at p={args.p}: {'ok' if ok else 'FAILED'}"]
     return out, ok, lines
 
 
@@ -178,8 +149,7 @@ def _cmd_verify_sequence(args):
         terms = ps.polynomial_terms(args.jacobian_of)
         m = len(next(iter(terms)))
         A = Algebra(m, args.bound)
-        gens = [g for g in sg._partials(terms, m) if g]
-        inner = dr.EXPLICIT(gens)
+        inner = dr.EXPLICIT(sg.jacobian(terms))
         degrees = [args.degree if args.degree is not None else m - 1]
     else:
         if args.N is None:
@@ -211,10 +181,7 @@ def _cmd_singular(args):
 
 
 def _cmd_selftest(args):
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("NILBLOCH_WORKERS", "0") or 0)
-    results = acceptance.run_all(workers=workers)
+    results = acceptance.run_all()
     ok = all(r.passed for r in results)
     out = {"criteria": [r.to_json() for r in results], "passed": ok}
     lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}" for r in results]
@@ -222,7 +189,7 @@ def _cmd_selftest(args):
     return out, ok, lines
 
 
-_NONNEGATIVE = ("cutoff", "param_bound", "count", "max_degree", "N_max", "p")
+_NONNEGATIVE = ("cutoff", "param_bound", "count", "max_degree", "N_max", "p", "degree")
 
 
 def main(argv=None):
@@ -295,8 +262,6 @@ def main(argv=None):
     p.set_defaults(func=_cmd_singular)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--workers", type=int, default=None,
-                   help="process pool size (default: NILBLOCH_WORKERS or 0)")
     p.set_defaults(func=_cmd_selftest)
 
     args = ap.parse_args(argv)

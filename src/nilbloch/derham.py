@@ -355,17 +355,14 @@ def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
 
 
 def _quotient_setup(algebra, rel):
-    """The quotient algebra R/J together with its full relative spec."""
+    """The quotient algebra R/J; for EXPLICIT, the one its presentation built."""
     if rel.kind == "full":
-        Aq = Algebra(algebra.m, 1, params=[(p.name, p.invertible) for p in algebra.params])
-    elif rel.kind == "power":
+        return Algebra(algebra.m, 1, params=[(p.name, p.invertible) for p in algebra.params])
+    if rel.kind == "power":
         gens = [{e: Fraction(1)} for e in algebra.mono_gens]
-        Aq = Algebra(algebra.m, rel.k, ideal=gens,
-                     params=[(p.name, p.invertible) for p in algebra.params])
-    else:
-        extra = [dict(g) for g in rel.gens]
-        Aq = Algebra(algebra.m, algebra.N, ideal=list(algebra.ideal_gens) + extra)
-    return Aq
+        return Algebra(algebra.m, rel.k, ideal=gens,
+                       params=[(p.name, p.invertible) for p in algebra.params])
+    return relative(algebra, rel).quotient
 
 
 def _class_basis(pres, algebra, n):

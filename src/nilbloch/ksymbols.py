@@ -227,8 +227,11 @@ class KeyIdentityReport:
                 "certificate": self.certificate.to_json()}
 
 
-def key_identity_algebra(i, j):
-    return Algebra(1, i + j + 1, params=[("a", False), ("b", False)])
+def _ab_symbol(N, i, j):
+    """Q[a,b][t]/t^N and the symbol {1+a t^i, 1+b t^j} in it."""
+    A = Algebra(1, N, params=[("a", False), ("b", False)])
+    a, b, t = A.var("a"), A.var("b"), A.nil()
+    return A, symbol(A.one() + a * t ** i, A.one() + b * t ** j)
 
 
 def verify_key_identity(i, j):
@@ -239,9 +242,7 @@ def verify_key_identity(i, j):
     """
     if i < 1 or j < 1:
         raise ValueError("invalid exponents")
-    A = key_identity_algebra(i, j)
-    a, b, t = A.var("a"), A.var("b"), A.nil()
-    s = symbol(A.one() + a * t ** i, A.one() + b * t ** j)
+    A, s = _ab_symbol(i + j + 1, i, j)
     cls = bloch(s)
     cut = i + j
     target = Form(A, 1, {
@@ -268,20 +269,13 @@ class FiltrationReport:
                 "vanishes": self.vanishes, "rep": self.rep}
 
 
-def filtration_algebra(p):
-    return Algebra(1, p, params=[("a", False), ("b", False)])
-
-
 def verify_filtration_vanishing(p, i, j):
     """bloch{1+a t^i, 1+b t^j} = 0 in Q[a,b][t]/t^p whenever i+j >= p."""
     if i < 1 or j < 1:
         raise ValueError("invalid exponents")
     if i + j < p:
         raise ValueError("i+j < p")
-    A = filtration_algebra(p)
-    a, b, t = A.var("a"), A.var("b"), A.nil()
-    s = symbol(A.one() + a * t ** i, A.one() + b * t ** j)
-    cls = bloch(s)
+    cls = bloch(_ab_symbol(p, i, j)[1])
     return FiltrationReport(p, i, j, cls.is_zero(), fm.form_str(cls.rep))
 
 
@@ -289,16 +283,14 @@ def filtration_strictness_witness(p):
     """A pair i+j = p-1 whose Bloch class is certified nonzero in Q[a,b][t]/t^p."""
     if p < 3:
         raise ValueError("no witness below p = 3")
-    A = filtration_algebra(p)
-    a, b, t = A.var("a"), A.var("b"), A.nil()
     for i in range(1, p - 1):
         j = p - 1 - i
-        s = symbol(A.one() + a * t ** i, A.one() + b * t ** j)
+        A, s = _ab_symbol(p, i, j)
         cls = bloch(s)
         if not cls.is_zero():
             cert = dr.is_exact(cls.rep, dr.FULL)
             return {"p": p, "i": i, "j": j, "rep": fm.form_str(cls.rep),
-                    "certificate": cert, "symbol": str(s)}
+                    "certificate": cert, "symbol": str(s), "algebra": A}
     return None
 
 

@@ -150,10 +150,9 @@ class RowSpace:
             return None
         kappa = max(res, key=self.order)
         w = {kappa: Fraction(1)}
-        for p, row in self.rows.items():
-            c = row.get(kappa)
-            if c:
-                w[p] = -c
+        # kappa survived reduction, so it is no pivot: cols lists its rows
+        for p in self.cols.get(kappa, ()):
+            w[p] = -self.rows[p][kappa]
         return w
 
 

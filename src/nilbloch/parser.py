@@ -283,12 +283,8 @@ def parse_symbol_sum(text, algebra):
     terms = p.symbol_sum()
     if not p.at_end():
         p.fail()
-    out = None
-    for c, tup in terms:
-        entries = tuple(to_elem(node, algebra) for node in tup)
-        s = c * SymbolSum(algebra, len(entries), [(1, entries)])
-        out = s if out is None else out + s
-    return out
+    terms = [(c, tuple(to_elem(node, algebra) for node in tup)) for c, tup in terms]
+    return SymbolSum(algebra, len(terms[0][1]), terms)
 
 
 def _differential_index(algebra, name):

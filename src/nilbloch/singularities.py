@@ -31,16 +31,14 @@ def _check_critical(terms):
     return widths.pop()
 
 
-def _partials(terms, m):
-    outs = []
-    for i in range(m):
-        g = {}
-        for texp, c in terms.items():
-            if texp[i]:
-                e = texp[:i] + (texp[i] - 1,) + texp[i + 1:]
-                g[e] = g.get(e, 0) + c * texp[i]
-        outs.append({k: Fraction(c) for k, c in g.items() if c})
-    return outs
+def jacobian(f):
+    """The nonzero partial derivatives of f, in variable order, as {texp: Fraction}."""
+    terms = poly_terms(f)
+    m = len(next(iter(terms), ()))
+    # texp -> texp - e_i is injective on the texp with texp[i] > 0: no merging
+    outs = ({texp[:i] + (texp[i] - 1,) + texp[i + 1:]: c * texp[i]
+             for texp, c in terms.items() if texp[i]} for i in range(m))
+    return [g for g in outs if g]
 
 
 def _reduces_to_zero(A, texp):
@@ -50,7 +48,6 @@ def _reduces_to_zero(A, texp):
 
 
 def _stabilized_dim(terms, m, gens, n_max):
-    gens = [g for g in gens if g]
     deg = max(sum(k) for k in terms)
     start = max(deg + 2, 4)
     for N in range(start, n_max + 1):
@@ -65,14 +62,14 @@ def milnor_number(f, n_max=24):
     """Dimension of Q[[t]]/(Jacobian ideal), with the certifying truncation."""
     terms = poly_terms(f)
     m = _check_critical(terms)
-    return _stabilized_dim(terms, m, _partials(terms, m), n_max)
+    return _stabilized_dim(terms, m, jacobian(terms), n_max)
 
 
 def tyurina_number(f, n_max=24):
     """Dimension of Q[[t]]/(f + Jacobian ideal)."""
     terms = poly_terms(f)
     m = _check_critical(terms)
-    dim, n_used, _ = _stabilized_dim(terms, m, _partials(terms, m) + [terms], n_max)
+    dim, n_used, _ = _stabilized_dim(terms, m, jacobian(terms) + [terms], n_max)
     return dim, n_used
 
 
@@ -115,7 +112,7 @@ def hypersurface_h_dim(f, N):
 def singularity_report(f, n_max=24):
     terms = poly_terms(f)
     m = _check_critical(terms)
-    mu, n_mu, d_stab = _stabilized_dim(terms, m, _partials(terms, m), n_max)
+    mu, n_mu, d_stab = _stabilized_dim(terms, m, jacobian(terms), n_max)
     tau, _ = tyurina_number(terms, n_max)
     n_used = n_mu
     h_dim = hypersurface_h_dim(terms, n_used)

@@ -86,3 +86,32 @@ def test_batch_runner_matches_order():
         "dual_numbers_value", "key_identity_range", "filtration_window",
         "steinberg_random", "slot_independence", "bloch_span", "gap_example",
         "substitution_isomorphism", "sequence_additivity", "engine_agreement"]
+
+
+def test_filtration_scan_rechecks_the_witness(monkeypatch):
+    rows, strict, ok = ac.filtration_scan(4)
+    assert ok and strict["found"] and len(rows) == 7
+    real = ac.ks.filtration_strictness_witness
+
+    def misprinted(p):
+        wit = real(p)
+        wit["rep"] = "a*t*dt"       # not the class the certificate is for
+        return wit
+
+    monkeypatch.setattr(ac.ks, "filtration_strictness_witness", misprinted)
+    rows, strict, ok = ac.filtration_scan(4)
+    assert not ok and strict["found"] is False
+    assert (strict["i"], strict["j"]) == (1, 2)
+
+
+def test_filtration_scan_given_pairs_skips_the_witness():
+    rows, strict, ok = ac.filtration_scan(5, [(2, 3)])
+    assert ok and strict is None
+    assert [(r["i"], r["j"], r["vanishes"]) for r in rows] == [(2, 3, True)]
+    assert ac.filtration_scan(2)[1] is None
+
+
+def test_steinberg_scan_is_seeded():
+    rows, ok = ac.steinberg_scan(3, 4)
+    assert ok and len(rows) == 4 and all(r["zero"] for r in rows)
+    assert ac.steinberg_scan(3, 4)[0] == rows

@@ -76,6 +76,16 @@ def test_symbol_sum_round_trip():
     assert bloch(z).rep == bloch(parse_symbol_sum(str(z), PAR)).rep
 
 
+def test_symbol_sum_arity_and_zero_multiplicity():
+    with pytest.raises(ValueError, match="arity mismatch"):
+        parse_symbol_sum("{1+t, b} + {1+t, b, b}", PAR)
+    with pytest.raises(ValueError, match="arity mismatch"):
+        parse_symbol_sum("0*{1+t, b, b} + {1+t, b}", PAR)
+    with pytest.raises(ValueError, match="not a unit"):
+        parse_symbol_sum("{1+t, b} + 0*{t, b}", PAR)
+    assert parse_symbol_sum("0*{1+t, b}", PAR).terms == ()
+
+
 def test_parse_form_matches_exterior_derivative():
     w = parse_form("1*dt - t*dt", R3)
     assert w == d(form_of_element(parse_element("t - t^2/2", R3)))
@@ -182,6 +192,22 @@ def test_cli_cohom_huge_ideal_exponent_returns_quickly():
     assert json.loads(proc.stdout)["all_zero"] is True
 
 
+def test_cli_long_symbol_sum_returns_quickly(capsys):
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilbloch", "bloch", "--m", "1", "--N", "3",
+         "--symbol", " + ".join(["{1+t, 2}"] * 3000)],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, ["bloch", "--m", "1", "--N", "3",
+                                    "--symbol", "3000*{1+t, 2}"])
+    assert code == 0
+    assert json.loads(proc.stdout)["class"] == json.loads(out)["class"]
+
+
 def test_polynomial_powers_match_repeated_products():
     for text in ("1+t1-2*t2", "3/2*t1^2*t2 - t2", "t1"):
         for e in range(7):
@@ -219,6 +245,10 @@ def test_cli_usage_errors_exit_two(capsys):
     assert code == 2 and not out and "syntax error" in err
     code, _, err = run_cli(capsys, ["cohom", "--N", "4"])
     assert code == 2 and "underspecified" in err
+    for argv in [["verify-filtration", "--p", "4", "--i", "1"],
+                 ["verify-filtration", "--p", "4", "--j", "2"]]:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and not out and "--i and --j" in err, argv
 
 
 def test_cli_verify_commands_pass(capsys):
@@ -226,7 +256,10 @@ def test_cli_verify_commands_pass(capsys):
                  ["verify-key-identity", "--i", "1", "--j", "2"],
                  ["verify-sigma", "--N", "5"],
                  ["verify-sequence", "--N", "5", "--degree", "0"],
-                 ["verify-steinberg", "--count", "5", "--seed", "3"]]:
+                 ["verify-steinberg", "--count", "5", "--seed", "3"],
+                 ["verify-filtration", "--p", "4"],
+                 ["verify-sequence", "--jacobian-of", "t1^4+t1^2*t2^3+t2^5",
+                  "--bound", "6", "--degree", "1"]]:
         code, out, _ = run_cli(capsys, argv)
         assert code == 0, argv
         assert json.loads(out)["passed"] is True
@@ -325,6 +358,7 @@ def test_cli_algebra_file_holding_a_list_exits_two(tmp_path, capsys):
     ["verify-homotopy", "--max-degree", "-1"],
     ["singular", "--poly", "t1^3+t2^3", "--N-max", "-2"],
     ["verify-filtration", "--p", "-2"],
+    ["verify-sequence", "--N", "3", "--degree", "-1"],
 ])
 def test_cli_negative_counts_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, argv)

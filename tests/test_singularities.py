@@ -2,7 +2,7 @@ import pytest
 
 from nilbloch.algebra import Algebra
 from nilbloch.parser import polynomial_terms
-from nilbloch.singularities import (hypersurface_h_dim, milnor_number,
+from nilbloch.singularities import (hypersurface_h_dim, jacobian, milnor_number,
                                     singularity_report, tyurina_number)
 
 CURVE = {(4, 0): 1, (2, 3): 1, (0, 5): 1}
@@ -18,6 +18,14 @@ def test_degenerate_plane_curve():
     assert (rep.mu, rep.tau, rep.h_dim) == (12, 11, 1)
     assert rep.to_json()["gap"] == 1
     assert polynomial_terms(rep.f) == CURVE
+
+
+def test_jacobian_keeps_the_nonzero_partials():
+    assert jacobian(CURVE) == [{(3, 0): 4, (1, 3): 2}, {(2, 2): 3, (0, 4): 5}]
+    assert jacobian({(3, 0): 1}) == [{(2, 0): 3}]
+    assert jacobian({(0, 0, 2): 1, (1, 0, 0): 0}) == [{(0, 0, 1): 2}]
+    assert jacobian({}) == []
+    assert jacobian(polynomial_terms("t1^2*t2 - t1^2*t2")) == []
 
 
 def test_reiffen_curve():
