@@ -92,6 +92,10 @@ def _rank(rows, ncols):
     return _eliminate(rows, ncols)[0]
 
 
+def _gens_key(gens):
+    return tuple(sorted(str(sorted(g.items())) for g in gens))
+
+
 def _in_span(vec, rows, ncols):
     r0 = _rank(rows, ncols)
     r1 = _rank(rows + [list(vec)], ncols)
@@ -116,6 +120,7 @@ class DenseModel:
         self.all_gens = self.gens + cutoff
         self._coords = {}
         self._rel_rows = {}
+        self._quotient = {}
 
     def coords(self, n):
         if n not in self._coords:
@@ -144,7 +149,7 @@ class DenseModel:
 
     def relation_rows(self, n, extra_gens=()):
         """Rows spanning (J*F + dJ^F') inside the free degree-n space."""
-        key = (n, tuple(sorted(str(sorted(g.items())) for g in extra_gens)))
+        key = (n, _gens_key(extra_gens))
         if key in self._rel_rows:
             return self._rel_rows[key]
         gens = self.all_gens + [dict(g) for g in extra_gens]
@@ -211,6 +216,12 @@ class DenseModel:
 
     def quotient_dims(self, n, rel_gens):
         """dim of the relative degree-n space and of its image under d."""
+        key = (n, None if rel_gens is None else _gens_key(rel_gens))
+        if key not in self._quotient:
+            self._quotient[key] = self._quotient_dims(n, rel_gens)
+        return self._quotient[key]
+
+    def _quotient_dims(self, n, rel_gens):
         ncols = len(self.coords(n))
         u = self.relation_rows(n)
         w = self.relative_rows(n, rel_gens)

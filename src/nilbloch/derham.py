@@ -16,6 +16,12 @@ case are the same machinery with one WHOLE block (WholeRelative). A
 degree cutoff, graded mode only, discards the coordinates of internal
 degree above the cutoff before solving; certificates re-verify exactly
 against what was kept.
+
+Graded ranks are counted, not solved: the Euler contraction h
+(forms.euler_homotopy) has dh + hd = i on block (i, pihat), so over Q every
+relative block (i >= k >= 1) is acyclic and the rank of d into degree n is
+the alternating sum of the block dimensions below n. The tests check both
+against the class_rows solve, which still serves exactness and certificates.
 """
 
 from dataclasses import dataclass
@@ -159,6 +165,11 @@ class BlockedRelative(_Relative):
             pihats = [_zero_pihat(self.A)]
         top = self.A.N + min(n, self.A.m) if n >= 0 else self.k
         return [(i, p) for p in pihats for i in range(self.k, top)]
+
+    def rank(self, n, pihats=None):
+        """Counted, not solved: every relative block (i >= k >= 1) is acyclic."""
+        return sum((-1) ** (n - 1 - j) * len(self._tags(j, key))
+                   for key in self.block_keys(n, pihats) for j in range(n))
 
     def _tags(self, n, key):
         return form_block(self.A, n, key).basis if key[0] >= self.k else ()
@@ -428,6 +439,8 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
         raise ValueError("not nested ideals")
     if algebra.n_params:
         raise ValueError("sequence report requires parameter-free mode")
+    if degree > algebra.m + 1:
+        raise ValueError(f"degree above m + 1 = {algebra.m + 1}: every term is 0")
     A = algebra
     n = degree
     presJ = relative(A, inner)

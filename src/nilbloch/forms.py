@@ -66,7 +66,7 @@ class FormBlock:
         self.order = coord_sort_key(algebra)
         self.coords = self._coords()
         self.rows = RowSpace(order=self.order)
-        for row in self._relation_rows():
+        for row in self._relation_rows() if self.coords else ():
             self.rows.insert(row)
         self.basis = [c for c in sorted(self.coords, key=self.order)
                       if c not in self.rows.rows]
@@ -339,22 +339,21 @@ def dlog(u):
 
 
 def euler_homotopy(form):
-    """Contraction with the Euler field t d/dt divided into the dt-slot.
+    """Contraction with the Euler field E = sum t_v d/dt_v (parameters weight 0).
 
-    Only defined in single-nilpotent graded mode, where together with d it
-    recovers multiplication by internal degree on each graded piece.
+    i_E(t^a dt_W ^ da_D) = sum_s (-1)^s t_{w_s} t^a dt_{W - w_s} ^ da_D over the
+    dt-positions s. E preserves a monomial ideal; dh + hd = internal degree.
     """
     A = form.algebra
-    if A.m != 1 or not A.monomial_ideal:
-        raise ValueError("homotopy requires single-nilpotent graded mode")
+    if not A.monomial_ideal:
+        raise ValueError("homotopy requires graded (monomial-ideal) mode")
     raw = {}
     for ((pexp, texp), word), c in form.terms.items():
-        if 0 not in word:
-            continue
-        rest = tuple(w for w in word if w != 0)
-        mono = (pexp, (texp[0] + 1,))
-        k = (mono, rest)
-        raw[k] = raw.get(k, 0) + c
+        for s, v in enumerate(word):
+            if v >= A.m:
+                break
+            k = ((pexp, texp[:v] + (texp[v] + 1,) + texp[v + 1:]), word[:s] + word[s + 1:])
+            raw[k] = raw.get(k, 0) + (-1) ** s * c
     return Form(A, form.degree - 1, raw)
 
 

@@ -69,3 +69,13 @@ def test_exactness_verdicts():
     # dt is not d of a (t^2)-relative form
     assert not model.is_exact(1, {((0,), (0,)): Fraction(1)},
                               [{(2,): Fraction(1)}])
+
+
+def test_quotient_dims_are_memoized():
+    model = DenseModel(2, 4, [])
+    gens = [{(2, 0): Fraction(1)}]
+    first = model.quotient_dims(1, gens)
+    assert model.quotient_dims(1, [dict(g) for g in gens]) is first
+    assert model.quotient_dims(1, None) is not first
+    assert model.is_exact(2, {((0, 0), (0, 1)): Fraction(1)}, None)
+    assert model.quotient_dims(1, None) is model.quotient_dims(1, None)

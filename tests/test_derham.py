@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilbloch.algebra import Algebra
-from nilbloch.forms import WHOLE, Form, d, d_elem, form_str, zero_form
-from nilbloch.derham import (EXPLICIT, FULL, POWER, check_certificate,
+from nilbloch.forms import (WHOLE, Form, d, d_elem, euler_homotopy, form_block,
+                            form_str, zero_form)
+from nilbloch.derham import (EXPLICIT, FULL, POWER, _Relative, _pihat_box,
+                             check_certificate,
                              cohomology, is_exact, quotient_class, relative,
                              relative_basis, sigma_report,
                              verify_forms_sequence)
@@ -226,3 +230,63 @@ def test_parametric_cohomology_two_nilpotents_invertible_param():
     assert {tuple(r["pihat"]) for r in rows} == {(-1,), (0,), (1,)}
     assert any(r["dim"] for r in rows)
     assert all(r["dim_h"] == 0 for r in rows)
+
+
+# BlockedRelative.rank counts instead of solving: the Euler contraction h
+# satisfies dh + hd = i on block (i, pihat), so every relative block is
+# acyclic. The tests below certify the identity and the count against the
+# class_rows solve (_Relative.rank).
+
+GRADED = ([Algebra(2, N) for N in range(2, 6)] + [Algebra(3, N) for N in range(2, 5)]
+          + [Algebra(3, 4, ideal=[{(2, 0, 0): 1}, {(0, 1, 1): 1}])])
+PARAMETRIC = Algebra(1, 4, params=[("a", False), ("b", True)])
+
+
+@pytest.mark.parametrize("A, bound", [(A, 0) for A in GRADED] + [(PARAMETRIC, 2)],
+                         ids=[f"m{A.m}_N{A.N}" for A in GRADED[:-1]]
+                         + ["monomial_ideal_m3", "params_ab_bound2"])
+def test_euler_homotopy_identity_on_every_block(A, bound):
+    pres = relative(A, FULL)
+    checked = 0
+    for n in range(A.m + A.n_params + 1):
+        for key in pres.block_keys(n, _pihat_box(A, bound)):
+            for coord in form_block(A, n, key).basis:
+                w = Form(A, n, {coord: 1})
+                assert d(euler_homotopy(w)) + euler_homotopy(d(w)) == key[0] * w
+                checked += 1
+    assert checked
+
+
+def test_rank_count_matches_solve_parametric():
+    A = PARAMETRIC
+    pres = relative(A, FULL)
+    for p in _pihat_box(A, 2):
+        for n in range(A.m + A.n_params + 2):
+            assert pres.rank(n, [p]) == _Relative.rank(pres, n, [p])
+    assert any(pres.rank(1, [p]) for p in _pihat_box(A, 2))
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_rank_count_matches_solve_every_power(N):
+    A = Algebra(1, N)
+    for k in range(1, N + 1):
+        pres = relative(A, POWER(k))
+        assert [pres.rank(n) for n in range(4)] == [_Relative.rank(pres, n) for n in range(4)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=st.sampled_from([2, 3]), N=st.integers(3, 5), data=st.data())
+def test_rank_count_matches_solve_monomial_ideal(m, N, data):
+    exps = st.lists(st.integers(0, N - 1), min_size=m, max_size=m).map(tuple).filter(
+        lambda e: 0 < sum(e) < N)
+    gens = data.draw(st.lists(exps, min_size=1, max_size=3))
+    A = Algebra(m, N, ideal=[{e: 1} for e in gens])
+    pres = relative(A, FULL)
+    assert [pres.rank(n) for n in range(m + 2)] == [_Relative.rank(pres, n) for n in range(m + 2)]
+
+
+def test_graded_cohomology_builds_no_class_rows():
+    for A in [Algebra(3, 4), Algebra(1, 3, params=[("a", True)])]:
+        rep = cohomology(A, FULL, param_bound=1 if A.n_params else None)
+        assert rep.all_zero()
+        assert relative(A, FULL)._class == {}

@@ -96,10 +96,20 @@ def test_homotopy_identity_small():
     assert lhs == 2 * w
 
 
-def test_homotopy_requires_single_variable():
-    w = d_elem(A.nil(0))
-    with pytest.raises(ValueError, match="single-nilpotent"):
+def test_homotopy_requires_monomial_ideal():
+    C = Algebra(2, 5, ideal=[{(3, 0): 1, (0, 3): 1}])
+    w = d_elem(C.nil(0))
+    with pytest.raises(ValueError, match="monomial-ideal"):
         euler_homotopy(w)
+
+
+def test_homotopy_contracts_every_dt_slot():
+    # i_E(t1 dt1 ^ dt2) = t1^2 dt2 - t1 t2 dt1 on Q[t1, t2]/m^4
+    w = Form(A, 2, {(((), (1, 0)), (0, 1)): Fraction(1)})
+    want = Form(A, 1, {(((), (2, 0)), (1,)): Fraction(1),
+                       (((), (1, 1)), (0,)): Fraction(-1)})
+    assert euler_homotopy(w) == want
+    assert d(euler_homotopy(w)) + euler_homotopy(d(w)) == 3 * w
 
 
 @given(f=b_elems)

@@ -379,3 +379,10 @@ def test_cli_internal_error_exits_three(capsys, monkeypatch):
     assert code == 3 and "ZeroDivisionError: boom" in err
     assert json.loads(out) == {"command": "singular",
                                "error": {"type": "ZeroDivisionError", "message": "boom"}}
+
+
+def test_cli_sequence_degree_above_m_plus_one_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["verify-sequence", "--N", "4", "--degree", "9"])
+    assert code == 2 and not out and "every term is 0" in err
+    code, out, _ = run_cli(capsys, ["verify-sequence", "--N", "4", "--degree", "2"])
+    assert code == 0 and json.loads(out)["passed"] is True
