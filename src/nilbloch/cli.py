@@ -32,7 +32,7 @@ def _parse_relative(text, algebra):
         srcs = [g for g in text.split(":", 1)[1].split(";") if g.strip()]
         if not srcs:
             raise ValueError("explicit relative spec needs generators")
-        return dr.EXPLICIT([ps.polynomial_terms(g, algebra.m) for g in srcs])
+        return dr.EXPLICIT([ps.polynomial_terms(g, algebra.m, algebra.N) for g in srcs])
     raise ValueError(f"unknown relative spec {text!r}")
 
 

@@ -7,6 +7,11 @@ to the same dimensions and exactness verdicts that the blocked sparse
 engine computes, and as the oracle that pins regression constants before
 they are frozen into tests.
 
+Each matrix is eliminated once per model: the echelon forms of the
+relation rows of each degree and of the exact forms of each (degree,
+relative generators) pair are cached, and exactness probes and
+stabilization monomials are reduced against them.
+
 Only parameter-free algebras are supported here; the coefficient field is
 Q throughout.  Polynomials are dicts {exponent tuple: Fraction}.
 """
@@ -60,46 +65,54 @@ def poly_diff(p, i):
 def _eliminate(rows, ncols):
     """Plain Gaussian elimination, pivoting left to right in column order.
 
-    Mutates nothing; returns (rank, echelon rows as lists).
+    Mutates nothing; returns the echelon form as a list of (pivot column,
+    row) pairs in increasing pivot order, each row scaled to 1 at its pivot
+    and zero left of it.  Its length is the rank.
     """
-    work = [list(r) for r in rows if any(r)]
+    work = [list(r) for r in rows]
     echelon = []
-    col = 0
-    while work and col < ncols:
-        pivot_row = None
-        for r in work:
+    for col in range(ncols):
+        for i, r in enumerate(work):
             if r[col]:
-                pivot_row = r
                 break
-        if pivot_row is None:
-            col += 1
+        else:
             continue
-        work.remove(pivot_row)
+        pivot_row = work.pop(i)
         inv = Fraction(1) / pivot_row[col]
         pivot_row = [x * inv for x in pivot_row]
         for r in work:
-            if r[col]:
-                f = r[col]
+            f = r[col]
+            if f:
                 for k in range(col, ncols):
                     r[k] -= f * pivot_row[k]
-        work = [r for r in work if any(r)]
-        echelon.append(pivot_row)
-        col += 1
-    return len(echelon), echelon
+        echelon.append((col, pivot_row))
+    return echelon
 
 
 def _rank(rows, ncols):
-    return _eliminate(rows, ncols)[0]
+    return len(_eliminate(rows, ncols))
 
 
-def _gens_key(gens):
-    return tuple(sorted(str(sorted(g.items())) for g in gens))
+def _in_echelon(vec, echelon):
+    """Whether vec lies in the span of an echelon form from _eliminate."""
+    v = list(vec)
+    for col, row in echelon:
+        f = v[col]
+        if f:
+            for k in range(col, len(v)):
+                v[k] -= f * row[k]
+    return not any(v)
 
 
 def _in_span(vec, rows, ncols):
-    r0 = _rank(rows, ncols)
-    r1 = _rank(rows + [list(vec)], ncols)
-    return r1 == r0
+    return _in_echelon(vec, _eliminate(rows, ncols))
+
+
+def _gens_key(gens):
+    """Order-free key of a generator list; equal coefficients give equal keys
+    whatever their number type, and zero terms and generators are dropped."""
+    polys = (tuple(sorted((e, Fraction(c)) for e, c in g.items() if c)) for g in gens)
+    return tuple(sorted(p for p in polys if p))
 
 
 class DenseModel:
@@ -119,7 +132,9 @@ class DenseModel:
         cutoff = [{e: Fraction(1)} for e in monomials_of_degree(m, N)]
         self.all_gens = self.gens + cutoff
         self._coords = {}
+        self._coord_index = {}
         self._rel_rows = {}
+        self._rel_echelon = {}
         self._quotient = {}
 
     def coords(self, n):
@@ -129,7 +144,9 @@ class DenseModel:
         return self._coords[n]
 
     def coord_index(self, n):
-        return {c: i for i, c in enumerate(self.coords(n))}
+        if n not in self._coord_index:
+            self._coord_index[n] = {c: i for i, c in enumerate(self.coords(n))}
+        return self._coord_index[n]
 
     def _insert_sign(self, i, wedge):
         # sign of sorting dt_i into an increasing wedge word, None if repeated
@@ -182,6 +199,12 @@ class DenseModel:
         self._rel_rows[key] = rows
         return rows
 
+    def relation_echelon(self, n):
+        """Echelon form of relation_rows(n), eliminated once per degree."""
+        if n not in self._rel_echelon:
+            self._rel_echelon[n] = _eliminate(self.relation_rows(n), len(self.coords(n)))
+        return self._rel_echelon[n]
+
     def d_row(self, n, coord):
         """Coordinates of d applied to one degree-n basis coordinate."""
         mono_i, wedge = coord
@@ -196,6 +219,16 @@ class DenseModel:
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
             terms[(e2, w)] = terms.get((e2, w), Fraction(0)) + sign * e[i]
         return self._vec(n + 1, terms)
+
+    def d_vec(self, n, row):
+        """Coordinates of d applied to a degree-n coordinate vector."""
+        out = [Fraction(0)] * len(self.coords(n + 1))
+        for coord, c in zip(self.coords(n), row):
+            if c:
+                for k, v in enumerate(self.d_row(n, coord)):
+                    if v:
+                        out[k] += c * v
+        return out
 
     def relative_rows(self, n, rel_gens):
         """Rows spanning Ker(Omega^n_R -> Omega^n_{R/I'}) in the free space.
@@ -215,7 +248,12 @@ class DenseModel:
         return self.relation_rows(n, extra_gens=rel_gens)
 
     def quotient_dims(self, n, rel_gens):
-        """dim of the relative degree-n space and of its image under d."""
+        """(dim of the relative degree-n space, rank of d on it, echelon of
+        the degree-(n+1) relations plus that image).
+
+        The echelon spans the forms of degree n+1 that are zero or d of a
+        relative form; is_exact reduces its probes against it.
+        """
         key = (n, None if rel_gens is None else _gens_key(rel_gens))
         if key not in self._quotient:
             self._quotient[key] = self._quotient_dims(n, rel_gens)
@@ -223,26 +261,12 @@ class DenseModel:
 
     def _quotient_dims(self, n, rel_gens):
         ncols = len(self.coords(n))
-        u = self.relation_rows(n)
-        w = self.relative_rows(n, rel_gens)
-        dim_rel = _rank(w, ncols) - _rank(u, ncols)
-        _, w_ech = _eliminate(w, ncols)
-        d_rows = []
-        idx = self.coord_index(n)
-        for row in w_ech:
-            terms = {}
-            for (mono_i, wg), pos in idx.items():
-                if row[pos]:
-                    dvec = self.d_row(n, (mono_i, wg))
-                    for k, v in enumerate(dvec):
-                        if v:
-                            terms[k] = terms.get(k, Fraction(0)) + row[pos] * v
-            d_rows.append([terms.get(k, Fraction(0))
-                           for k in range(len(self.coords(n + 1)))])
-        u_next = self.relation_rows(n + 1)
-        r_next = _rank(u_next + d_rows, len(self.coords(n + 1))) - _rank(
-            u_next, len(self.coords(n + 1)))
-        return dim_rel, r_next, d_rows
+        w_ech = _eliminate(self.relative_rows(n, rel_gens), ncols)
+        dim_rel = len(w_ech) - len(self.relation_echelon(n))
+        d_rows = [self.d_vec(n, row) for _, row in w_ech]
+        exact_ech = _eliminate(self.relation_rows(n + 1) + d_rows, len(self.coords(n + 1)))
+        r_next = len(exact_ech) - len(self.relation_echelon(n + 1))
+        return dim_rel, r_next, exact_ech
 
     def cohomology(self, rel_gens, n_max=None):
         """[(n, dim_rel, dim_ker, dim_im, dim_h)] for the relative complex."""
@@ -267,17 +291,14 @@ class DenseModel:
 
     def is_exact(self, n, terms, rel_gens):
         """Whether the degree-n form given by raw terms is d of a relative form."""
-        vec = self._vec(n, terms)
-        ncols = len(self.coords(n))
-        _, _, d_rows = self.quotient_dims(n - 1, rel_gens) if n else (0, 0, [])
-        rows = self.relation_rows(n) + d_rows
-        return _in_span(vec, rows, ncols)
+        ech = self.quotient_dims(n - 1, rel_gens)[2] if n else self.relation_echelon(0)
+        return _in_echelon(self._vec(n, terms), ech)
 
 
 def quotient_dimension(m, N, gens):
     """dim_Q of Q[t_1..t_m]/(gens + m^N), by raw row reduction."""
     model = DenseModel(m, N, gens)
-    return len(model.monos) - _rank(model.relation_rows(0), len(model.monos))
+    return len(model.monos) - len(model.relation_echelon(0))
 
 
 def stabilized_quotient(gens_of, m, start_N, N_max):
@@ -289,16 +310,15 @@ def stabilized_quotient(gens_of, m, start_N, N_max):
     """
     for N in range(start_N, N_max + 1):
         model = DenseModel(m, N, gens_of(N))
-        rows = model.relation_rows(0)
+        ech = model.relation_echelon(0)
         ncols = len(model.monos)
-        _, ech = _eliminate(rows, ncols)
         for d in range(1, N):
             degree_monos = monomials_of_degree(m, d)
             ok = True
             for e in degree_monos:
                 vec = [Fraction(0)] * ncols
                 vec[model.mono_index[e]] = Fraction(1)
-                if not _in_span(vec, ech, ncols):
+                if not _in_echelon(vec, ech):
                     ok = False
                     break
             if ok:

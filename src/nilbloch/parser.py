@@ -335,17 +335,28 @@ def parse_form(text, algebra):
     return Form(algebra, degree or 0, terms)
 
 
-def _poly_mul(p, q):
-    """Product of two {texp: Fraction} polynomials."""
+def _poly_mul(p, q, bound=None):
+    """Product of two {texp: Fraction} polynomials, without the terms of total
+    degree >= bound when a bound is given."""
     out = {}
     for k1, c1 in p.items():
-        shifted = {tuple(a + b for a, b in zip(k1, k2)): c for k2, c in q.items()}
+        shifted = {}
+        for k2, c in q.items():
+            e = tuple(a + b for a, b in zip(k1, k2))
+            if bound is None or sum(e) < bound:
+                shifted[e] = c
         vec_iadd(out, shifted, c1)
     return out
 
 
-def polynomial_terms(text, m=None):
-    """Parse a polynomial in the nilpotent variables into {texp: Fraction}."""
+def polynomial_terms(text, m=None, bound=None):
+    """Parse a polynomial in the nilpotent variables into {texp: Fraction}.
+
+    With a bound, terms of total degree >= bound are dropped, inside every
+    product and power as it is formed; such terms lie in (t_1..t_m)^bound,
+    which an algebra truncated at that bound kills anyway, and keeping them
+    would let a power like (1+t)^200000 expand in full.
+    """
     ast = parse_expr(text)
     names = set()
 
@@ -396,7 +407,7 @@ def polynomial_terms(text, m=None):
         if kind == "prod":
             out = ev(node[1][0])
             for sub in node[1][1:]:
-                out = _poly_mul(out, ev(sub))
+                out = _poly_mul(out, ev(sub), bound)
             return out
         if kind == "inv":
             den = ev(node[1])
@@ -409,14 +420,15 @@ def polynomial_terms(text, m=None):
             out, base, e = {(0,) * m: Fraction(1)}, ev(node[1]), node[2]
             while e:               # square-and-multiply
                 if e & 1:
-                    out = _poly_mul(out, base)
+                    out = _poly_mul(out, base, bound)
                 e >>= 1
                 if e:
-                    base = _poly_mul(base, base)
+                    base = _poly_mul(base, base, bound)
             return out
         raise ValueError(f"unknown AST node {kind!r}")
 
-    return ev(ast)
+    out = ev(ast)
+    return out if bound is None else {e: c for e, c in out.items() if sum(e) < bound}
 
 
 def algebra_to_json(algebra):
@@ -436,5 +448,5 @@ def algebra_from_json(data):
     if not (isinstance(params, list)
             and all(isinstance(p, dict) and isinstance(p.get("name"), str) for p in params)):
         raise ValueError("every 'params' entry needs a string 'name'")
-    return Algebra(m, bound, ideal=[polynomial_terms(g, m) for g in ideal],
+    return Algebra(m, bound, ideal=[polynomial_terms(g, m, bound) for g in ideal],
                    params=[(p["name"], bool(p.get("invertible", False))) for p in params])

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
-from nilbloch.dense import (DenseModel, milnor_number, quotient_dimension,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilbloch import dense
+from nilbloch.dense import (DenseModel, _rank, milnor_number, quotient_dimension,
                             stabilized_quotient, tyurina_number)
 
 CURVE = {(4, 0): 1, (2, 3): 1, (0, 5): 1}
@@ -79,3 +83,71 @@ def test_quotient_dims_are_memoized():
     assert model.quotient_dims(1, None) is not first
     assert model.is_exact(2, {((0, 0), (0, 1)): Fraction(1)}, None)
     assert model.quotient_dims(1, None) is model.quotient_dims(1, None)
+
+
+def test_gens_key_ignores_number_type_and_zero_terms():
+    model = DenseModel(1, 4, [])
+    first = model.quotient_dims(0, [{(2,): 1}])
+    assert model.quotient_dims(0, [{(2,): Fraction(1)}]) is first
+    assert model.quotient_dims(0, [{(2,): Fraction(2, 2), (3,): 0}]) is first
+
+
+# one model, FULL and EXPLICIT relatives with generators spelled several ways
+PROBE_IDEAL = [{(3, 0): 1, (1, 2): Fraction(-2)}]
+PROBE_RELS = [None, [{(1, 0): 1}], [{(1, 0): Fraction(1)}],
+              [{(0, 2): Fraction(1)}, {(1, 1): 2}], [{(1, 1): 2}, {(0, 2): 1, (2, 0): 0}]]
+
+
+def _exact_rows(model, n, rel_gens):
+    """Relations plus d of every relative row one degree down, uneliminated."""
+    rows = model.relation_rows(n)
+    if n:
+        rows = rows + [model.d_vec(n - 1, r) for r in model.relative_rows(n - 1, rel_gens)]
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cached_is_exact_matches_rank_reference(data):
+    model = DenseModel(2, 4, PROBE_IDEAL)
+    probes = data.draw(st.lists(st.tuples(st.integers(0, 2),
+                                          st.integers(0, len(PROBE_RELS) - 1)),
+                                min_size=2, max_size=8))
+    cut = data.draw(st.integers(0, len(probes)))
+    coeffs = st.integers(-3, 3)
+    for i, (n, r) in enumerate(probes):
+        if i == cut:
+            model.cohomology(PROBE_RELS[data.draw(st.integers(0, len(PROBE_RELS) - 1))])
+        rel_gens = PROBE_RELS[r]
+        rows = _exact_rows(model, n, rel_gens)
+        ncols = len(model.coords(n))
+        vec = [Fraction(0)] * ncols
+        for j in data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+            c = data.draw(coeffs)
+            vec = [x + c * y for x, y in zip(vec, rows[j])]
+        for k in data.draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+            vec[k] += data.draw(coeffs)
+        terms = {(model.monos[mono_i], w): c
+                 for (mono_i, w), c in zip(model.coords(n), vec) if c}
+        want = _rank(rows + [vec], ncols) == _rank(rows, ncols)
+        assert model.is_exact(n, terms, rel_gens) == want, (n, rel_gens, i, cut)
+
+
+def test_probes_of_one_span_eliminate_once(monkeypatch):
+    calls = []
+    eliminate = dense._eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return eliminate(rows, ncols)
+
+    monkeypatch.setattr(dense, "_eliminate", counted)
+    model = DenseModel(2, 4, [])
+    spellings = [[{(2, 0): 1}], [{(2, 0): Fraction(1)}], [{(2, 0): Fraction(3, 3), (0, 1): 0}]]
+    model.is_exact(1, {((1, 0), (0,)): Fraction(2)}, spellings[0])
+    cold = len(calls)
+    for i in range(19):
+        # t1^a dt1 = d(t1^(a+1)/(a+1)) is (t1^2)-exact iff a >= 1; t1^a dt2 never is
+        assert model.is_exact(1, {((i % 3, 0), (i % 2,)): Fraction(i + 1)},
+                              spellings[i % 3]) is (i % 2 == 0 and i % 3 >= 1)
+    assert len(calls) == cold

@@ -192,6 +192,32 @@ def test_cli_cohom_huge_ideal_exponent_returns_quickly():
     assert json.loads(proc.stdout)["all_zero"] is True
 
 
+def test_cli_dense_ideal_power_is_truncated_while_parsed():
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    base = [sys.executable, "-m", "nilbloch", "cohom", "--N", "3"]
+    proc = subprocess.run(base + ["--m", "1", "--ideal", "(1+t)^200000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and "degree-zero" in proc.stderr
+    proc = subprocess.run(base + ["--m", "2", "--ideal", "t1*(1+t2)^200000",
+                                  "--relative", "explicit:t2*(1-t1)^200000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["algebra"]["ideal"] == ["200000*t1*t2+t1"]
+
+
+def test_polynomial_terms_bound_drops_high_degrees():
+    assert polynomial_terms("(1+t)^200000", 1, 3) == {
+        (0,): 1, (1,): 200000, (2,): 200000 * 199999 // 2}
+    for text in ("(1+t1-2*t2)^5*(t2-t1)", "3/2*t1^2*t2 - t2", "t1^4", "(t1*t2)^2 + t1"):
+        full = polynomial_terms(text, 2)
+        for bound in range(1, 7):
+            assert polynomial_terms(text, 2, bound) == {
+                e: c for e, c in full.items() if sum(e) < bound}, (text, bound)
+
+
 def test_cli_long_symbol_sum_returns_quickly(capsys):
     import nilbloch
     env = dict(os.environ)
