@@ -76,7 +76,7 @@ for m in (1, 2, 3):
         flat = [row[4] for row in rep]
         status = "ZERO" if all(x == 0 for x in flat) else f"NONZERO {flat}"
         print(f"N={N} m={m}: H = {flat} -> {status}")
-print(f"(total {time.time() - t0:.1f}s)")
+print(f"(total {time.time() - t0:.1f}s)", file=sys.stderr)
 
 banner("six-term sequence, power case J=(t^(N-1)) in R_N (m=1)")
 for N in (3, 4, 5):

@@ -146,9 +146,10 @@ def _cmd_verify_sequence(args):
     if args.jacobian_of:
         if args.bound is None:
             raise ValueError("--jacobian-of needs --bound")
-        terms = ps.polynomial_terms(args.jacobian_of)
-        m = len(next(iter(terms)))
+        m = ps.nilpotent_count(args.jacobian_of)
         A = Algebra(m, args.bound)
+        # a term of degree > bound has partials in (t)^bound, which A kills
+        terms = ps.polynomial_terms(args.jacobian_of, m, args.bound + 1)
         inner = dr.EXPLICIT(sg.jacobian(terms))
         degrees = [args.degree if args.degree is not None else m - 1]
     else:

@@ -174,6 +174,7 @@ class DenseModel:
         wedges = list(itertools.combinations(range(self.m), n))
         sub_wedges = list(itertools.combinations(range(self.m), n - 1)) if n else []
         for g in gens:
+            dg = [poly_diff(g, i) for i in range(self.m)]
             for u in self.monos:
                 prod = poly_truncate(poly_mul({u: Fraction(1)}, g), self.N)
                 if prod:
@@ -183,8 +184,7 @@ class DenseModel:
                     continue
                 for wp in sub_wedges:
                     terms = {}
-                    for i in range(self.m):
-                        dgi = poly_diff(g, i)
+                    for i, dgi in enumerate(dg):
                         if not dgi:
                             continue
                         sign, w = self._insert_sign(i, wp)

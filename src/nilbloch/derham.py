@@ -22,11 +22,18 @@ Graded ranks are counted, not solved: the Euler contraction h
 relative block (i >= k >= 1) is acyclic and the rank of d into degree n is
 the alternating sum of the block dimensions below n. The tests check both
 against the class_rows solve, which still serves exactness and certificates.
+
+Graded dimensions come from the parameter-free twin, since parameters are
+passive (see forms): at a multidegree pihat where f parameters may carry a
+da_j, dim Omega^n_rel is sum_s C(f, s) dim_twin(n - s), and 0 when pihat
+has a negative exponent on a non-invertible parameter. So a parametric
+FULL/POWER table builds no parametric block at all.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from .linalg import RowSpace, independent, nullspace, vec_dot, vec_iadd
 from .algebra import Algebra, RingMap, poly_terms
@@ -157,19 +164,49 @@ class BlockedRelative(_Relative):
     def __init__(self, algebra, rel):
         super().__init__(algebra, rel)
         self.k = 1 if rel.kind == "full" else rel.k
+        self._dims = {}
 
-    def block_keys(self, n, pihats=None):
+    def _pihats(self, pihats):
         if pihats is None:
             if self.A.n_params:
                 raise ValueError("parametric mode needs explicit multidegree blocks")
-            pihats = [_zero_pihat(self.A)]
+            return [_zero_pihat(self.A)]
+        return pihats
+
+    def block_keys(self, n, pihats=None):
         top = self.A.N + min(n, self.A.m) if n >= 0 else self.k
-        return [(i, p) for p in pihats for i in range(self.k, top)]
+        return [(i, p) for p in self._pihats(pihats) for i in range(self.k, top)]
+
+    def dim(self, n, pihats=None):
+        """Counted from the parameter-free twin; builds no parametric block."""
+        return sum(self._dim(n, self._free(p)) for p in self._pihats(pihats))
 
     def rank(self, n, pihats=None):
         """Counted, not solved: every relative block (i >= k >= 1) is acyclic."""
-        return sum((-1) ** (n - 1 - j) * len(self._tags(j, key))
-                   for key in self.block_keys(n, pihats) for j in range(n))
+        return sum((-1) ** (n - 1 - j) * self._dim(j, f)
+                   for f in map(self._free, self._pihats(pihats)) for j in range(n))
+
+    def _free(self, pihat):
+        """The count f of j with da_j allowed at pihat; None if pihat holds no form."""
+        f = 0
+        for e, p in zip(pihat, self.A.params):
+            if p.invertible or e >= 1:
+                f += 1
+            elif e < 0:
+                return None
+        return f
+
+    def _dim(self, n, f):
+        if f is None:
+            return 0
+        if (n, f) not in self._dims:
+            if self.A.n_params:
+                twin = relative(fm.param_free_twin(self.A), self.rel)
+                dim = sum(comb(f, s) * twin._dim(n - s, 0) for s in range(f + 1))
+            else:
+                dim = sum(len(self._tags(n, key)) for key in self.block_keys(n))
+            self._dims[(n, f)] = dim
+        return self._dims[(n, f)]
 
     def _tags(self, n, key):
         return form_block(self.A, n, key).basis if key[0] >= self.k else ()

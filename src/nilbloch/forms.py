@@ -13,13 +13,19 @@ counts 1 toward internal degree and da_j counts e_j toward the parameter
 multidegree. The module exploits this: presentations are built and cached
 one block at a time, which keeps parametric algebras finite work. Without a
 monomial ideal (parameter-free only) there is a single whole-space block.
+
+Parameters are passive. With S = Q[a, b^±1, ...], Omega of S[t]/J is
+Omega_S tensor Omega of its parameter-free twin Q[t]/J, so a relation row
+d(g) u dT ^ da_D keeps its parameter exponent and its word D. Only twin
+blocks are eliminated; a parametric block (n, (i, pihat)) is the twin
+blocks (n - |D|, (i, ())) relabelled, one for each allowed D.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from .linalg import RowSpace, vec_add, vec_iadd, vec_scale
-from .algebra import AlgElem, monomials_of_degree
+from .algebra import AlgElem, Algebra, monomials_of_degree
 
 WHOLE = "whole"
 
@@ -57,7 +63,7 @@ def coord_sort_key(algebra):
 
 
 class FormBlock:
-    """Presentation of one block of the degree-n form module."""
+    """Presentation of one block of the degree-n form module (parametric: from_twin)."""
 
     def __init__(self, algebra, n, key):
         self.algebra = algebra
@@ -71,6 +77,37 @@ class FormBlock:
         self.basis = [c for c in sorted(self.coords, key=self.order)
                       if c not in self.rows.rows]
 
+    @classmethod
+    def from_twin(cls, algebra, n, key):
+        """Block (n, (i, pihat)) of a parametric algebra, relabelled from its twin.
+
+        The sum over the allowed words D of twin blocks (n - |D|, (i, ())),
+        ((), texp), T renamed to ((pihat - e_D, texp), T + D). Renaming keeps
+        the order in a summand and summands share no coordinate, so the
+        twin's echelon rows stay one: nothing is eliminated again.
+        """
+        A = algebra
+        twin = param_free_twin(A)
+        i, pihat = key
+        self = cls.__new__(cls)
+        self.algebra, self.n, self.key = A, n, key
+        self.order = coord_sort_key(A)
+        self.coords, self.basis = [], []
+        self.rows = RowSpace(order=self.order)
+        for s in range(min(n, A.n_params) + 1):
+            for D in combinations(range(A.n_params), s):
+                pexp = _pexp_for(A, pihat, D)
+                if pexp is None:
+                    continue
+                src = form_block(twin, n - s, (i, ()))
+                dword = tuple(A.m + j for j in D)
+                label = {c: ((pexp, c[0][1]), c[1] + dword) for c in src.coords}
+                self.coords.extend(label.values())
+                self.basis.extend(label[c] for c in src.basis)
+                self.rows.adopt(src.rows, label.__getitem__)
+        self.basis.sort(key=self.order)
+        return self
+
     @property
     def dim(self):
         return len(self.basis)
@@ -78,43 +115,16 @@ class FormBlock:
     def reduce(self, vec):
         return self.rows.reduce(vec)
 
-    # -- enumeration ---------------------------------------------------------
-
-    def _pexp_for(self, pihat, dparams):
-        pexp = list(pihat)
-        for j in dparams:
-            pexp[j] -= 1
-        for j, e in enumerate(pexp):
-            if e < 0 and not self.algebra.params[j].invertible:
-                return None
-        return tuple(pexp)
-
-    def _words(self, size):
-        A = self.algebra
-        for k in range(min(size, A.m), -1, -1):
-            for T in combinations(range(A.m), k):
-                for D in combinations(range(A.n_params), size - k):
-                    yield T, D
+    # -- parameter-free presentation -------------------------------------------
 
     def _coords(self):
         A = self.algebra
-        out = []
         if self.n < 0:
-            return out
-        if self.key == WHOLE:
-            for T in combinations(range(A.m), self.n):
-                for texp in A.nil_basis:
-                    out.append((((0,) * A.n_params, texp), T))
-            return out
-        i, pihat = self.key
-        for T, D in self._words(self.n):
-            pexp = self._pexp_for(pihat, D)
-            if pexp is None:
-                continue
-            word = T + tuple(A.m + j for j in D)
-            for texp in A._basis_by_degree.get(i - len(T), []):
-                out.append(((pexp, texp), word))
-        return out
+            return []
+        # graded: the word dT has n slots, so texp has internal degree i - n
+        texps = A.nil_basis if self.key == WHOLE else A._basis_by_degree.get(
+            self.key[0] - self.n, [])
+        return [(((), texp), T) for T in combinations(range(A.m), self.n) for texp in texps]
 
     def _relation_rows(self):
         if self.n <= 0:
@@ -122,7 +132,6 @@ class FormBlock:
         A = self.algebra
         gens = _form_gens(A)
         if self.key == WHOLE:
-            pexp = (0,) * A.n_params
             for g in gens:
                 for u in A.nil_basis:
                     for W in combinations(range(A.m), self.n - 1):
@@ -136,29 +145,20 @@ class FormBlock:
                                 if sum(raw) >= A.N:
                                     continue
                                 sign, word = wedge_insert(v, W)
-                                nf = A.normal_form({(pexp, raw): ca * a[v] * sign})
+                                nf = A.normal_form({((), raw): ca * a[v] * sign})
                                 vec_iadd(row, {(mono, word): c for mono, c in nf.items()})
                         if row:
                             yield row
             return
         # graded: a*u*dT with a a monomial generator; d(a) puts one dt_v into
-        # the word, so each (T, pexp) slot and its wedge moves are block-local
-        i, pihat = self.key
-        slots = []
-        for T, D in self._words(self.n - 1):
-            pexp = self._pexp_for(pihat, D)
-            if pexp is None:
-                continue
-            word = T + tuple(A.m + j for j in D)
-            moves = [(v,) + wedge_insert(v, word) for v in range(A.m) if v not in T]
-            slots.append((len(T), pexp, moves))
+        # the word, so each slot T and its wedge moves are block-local
+        i = self.key[0]
+        slots = [[(v,) + wedge_insert(v, T) for v in range(A.m) if v not in T]
+                 for T in combinations(range(A.m), self.n - 1)]
         for g in gens:
             a = next(iter(g))
-            dega = sum(a)
-            if dega > i:
-                continue
-            for lenT, pexp, moves in slots:
-                for u in A._basis_by_degree.get(i - dega - lenT, []):
+            for moves in slots:
+                for u in A._basis_by_degree.get(i - sum(a) - (self.n - 1), []):
                     row = {}
                     ua = tuple(x + y for x, y in zip(u, a))
                     for v, sign, new in moves:
@@ -168,9 +168,20 @@ class FormBlock:
                         if A._mono_dead(mono):
                             continue
                         # distinct v give distinct words, so no coord repeats
-                        row[((pexp, mono), new)] = Fraction(a[v] * sign)
+                        row[(((), mono), new)] = Fraction(a[v] * sign)
                     if row:
                         yield row
+
+
+def _pexp_for(algebra, pihat, dparams):
+    """pihat minus the da_j of dparams, or None at a negative non-invertible exponent."""
+    pexp = list(pihat)
+    for j in dparams:
+        pexp[j] -= 1
+    for j, e in enumerate(pexp):
+        if e < 0 and not algebra.params[j].invertible:
+            return None
+    return tuple(pexp)
 
 
 def _form_gens(algebra):
@@ -186,10 +197,20 @@ def _form_gens(algebra):
     return gens
 
 
+def param_free_twin(algebra):
+    """Q[t]/J for a parametric S[t]/J: same m, N and monomial ideal; cached."""
+    twin = getattr(algebra, "_twin", None)
+    if twin is None:
+        twin = algebra._twin = Algebra(algebra.m, algebra.N,
+                                       ideal=[{e: 1} for e in algebra.mono_gens])
+    return twin
+
+
 def form_block(algebra, n, key):
     cache = algebra._form_cache
     if (n, key) not in cache:
-        cache[(n, key)] = FormBlock(algebra, n, key)
+        build = FormBlock.from_twin if algebra.n_params else FormBlock
+        cache[(n, key)] = build(algebra, n, key)
     return cache[(n, key)]
 
 

@@ -130,6 +130,17 @@ class RowSpace:
         self.rows[piv] = row
         return piv
 
+    def adopt(self, other, label):
+        """Add the rows of another untracked space, keys renamed, without eliminating.
+
+        label must be injective, keep other's key order and hit no key this
+        space holds: echelon bases on disjoint keys together form one.
+        """
+        for piv, row in other.rows.items():
+            self.rows[label(piv)] = {label(k): c for k, c in row.items()}
+        for k, pivs in other.cols.items():
+            self.cols[label(k)] = {label(p) for p in pivs}
+
     def solve(self, vec):
         """Tags combination with vec = sum(c[tag] * inserted[tag]), or None.
 

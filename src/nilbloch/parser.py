@@ -349,15 +349,8 @@ def _poly_mul(p, q, bound=None):
     return out
 
 
-def polynomial_terms(text, m=None, bound=None):
-    """Parse a polynomial in the nilpotent variables into {texp: Fraction}.
-
-    With a bound, terms of total degree >= bound are dropped, inside every
-    product and power as it is formed; such terms lie in (t_1..t_m)^bound,
-    which an algebra truncated at that bound kills anyway, and keeping them
-    would let a power like (1+t)^200000 expand in full.
-    """
-    ast = parse_expr(text)
+def _variables(ast):
+    """Variable names of a polynomial AST; exp/log calls are refused."""
     names = set()
 
     def walk(node):
@@ -371,18 +364,40 @@ def polynomial_terms(text, m=None, bound=None):
                     walk(child)
 
     walk(ast)
+    return names
+
+
+def _nilpotent_count(names):
+    """m read off variable names: 1 for t alone, else the largest i of the t_i."""
+    if names == {"t"}:
+        return 1
+    idx = []
+    for name in names:
+        if not (name.startswith("t") and name[1:].isdigit()):
+            raise ValueError(f"unknown variable {name!r}")
+        idx.append(int(name[1:]))
+    if not idx or min(idx) < 1:
+        raise ValueError("no nilpotent variables found")
+    return max(idx)
+
+
+def nilpotent_count(text):
+    """The number m of nilpotent variables that a polynomial's names call for."""
+    return _nilpotent_count(_variables(parse_expr(text)))
+
+
+def polynomial_terms(text, m=None, bound=None):
+    """Parse a polynomial in the nilpotent variables into {texp: Fraction}.
+
+    With a bound, terms of total degree >= bound are dropped, inside every
+    product and power as it is formed; such terms lie in (t_1..t_m)^bound,
+    which an algebra truncated at that bound kills anyway, and keeping them
+    would let a power like (1+t)^200000 expand in full.
+    """
+    ast = parse_expr(text)
+    names = _variables(ast)
     if m is None:
-        if names == {"t"}:
-            m = 1
-        else:
-            idx = []
-            for name in names:
-                if not (name.startswith("t") and name[1:].isdigit()):
-                    raise ValueError(f"unknown variable {name!r}")
-                idx.append(int(name[1:]))
-            if not idx or min(idx) < 1:
-                raise ValueError("no nilpotent variables found")
-            m = max(idx)
+        m = _nilpotent_count(names)
     index = {"t": 0} if m == 1 else {}
     for i in range(m):
         index[f"t{i + 1}"] = i

@@ -151,3 +151,12 @@ def test_probes_of_one_span_eliminate_once(monkeypatch):
         assert model.is_exact(1, {((i % 3, 0), (i % 2,)): Fraction(i + 1)},
                               spellings[i % 3]) is (i % 2 == 0 and i % 3 >= 1)
     assert len(calls) == cold
+
+
+def test_relation_rows_differentiate_each_generator_once(monkeypatch):
+    calls = []
+    real = dense.poly_diff
+    monkeypatch.setattr(dense, "poly_diff", lambda p, i: calls.append(i) or real(p, i))
+    model = DenseModel(2, 5, [CURVE])
+    model.relation_rows(1)
+    assert len(calls) == 2 * len(model.all_gens)

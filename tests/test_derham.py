@@ -290,3 +290,26 @@ def test_graded_cohomology_builds_no_class_rows():
         rep = cohomology(A, FULL, param_bound=1 if A.n_params else None)
         assert rep.all_zero()
         assert relative(A, FULL)._class == {}
+        if A.n_params:
+            assert A._form_cache == {}      # counted from the twin's blocks
+
+
+@pytest.mark.parametrize("A, rel", [
+    (Algebra(1, 4, params=[("a", False), ("b", True)]), FULL),
+    (Algebra(2, 3, params=[("a", True)]), FULL),
+    (Algebra(2, 4, ideal=[{(1, 1): 1}], params=[("a", False), ("b", False)]), FULL),
+    (Algebra(1, 5, params=[("a", False), ("b", True)]), POWER(3)),
+], ids=["m1_ab", "m2_b", "monomial_ideal_ab", "power3_ab"])
+def test_counted_dim_and_rank_match_blocks(A, rel):
+    pres = relative(A, rel)
+    # a negative exponent on a non-invertible parameter holds no form
+    negative = [tuple(-1 if not p.invertible else 0 for p in A.params)]
+    if all(p.invertible for p in A.params):
+        negative = []
+    for p in _pihat_box(A, 2) + negative:
+        for n in range(A.m + A.n_params + 2):
+            assert pres.dim(n, [p]) == _Relative.dim(pres, n, [p]), (p, n)
+            assert pres.rank(n, [p]) == _Relative.rank(pres, n, [p]), (p, n)
+    assert all(pres.dim(n, negative) == 0 for n in range(A.m + A.n_params + 1))
+    box = _pihat_box(A, 1)
+    assert pres.dim(1, box) == sum(pres.dim(1, [p]) for p in box) > 0

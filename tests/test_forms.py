@@ -172,3 +172,71 @@ def test_form_str_layout():
     w = d_elem(t1 * t2)
     assert form_str(w) == "1 * t1 * dt2 + 1 * t2 * dt1"
     assert form_str(zero_form(A, 1)) == "0"
+
+
+def _reference_block(A, n, key):
+    """Block (n, (i, pihat)) straight from the definition, parameters included.
+
+    Coordinates are t^texp a^pexp dT ^ da_D of block key (i, pihat); the
+    relations are u * d(g) ^ dT ^ da_D for g a monomial generator of J (the
+    degree-N monomials too) and u any monomial, eliminated in one RowSpace.
+    """
+    from itertools import combinations
+    from nilbloch.algebra import monomials_below, monomials_of_degree
+    from nilbloch.forms import coord_sort_key, wedge_insert
+    from nilbloch.linalg import RowSpace
+    i, pihat = key
+    P = A.n_params
+
+    def words(size):
+        for k in range(size + 1):
+            for T in combinations(range(A.m), k):
+                for D in combinations(range(P), size - k):
+                    pexp = tuple(e - (j in D) for j, e in enumerate(pihat))
+                    if all(e >= 0 or p.invertible for e, p in zip(pexp, A.params)):
+                        yield T + tuple(A.m + j for j in D), pexp
+
+    coords = {((pexp, texp), word) for word, pexp in words(n) for texp in A.nil_basis
+              if block_key(A, (pexp, texp), word) == key}
+    rows = RowSpace(order=coord_sort_key(A))
+    gens = list(A.mono_gens) + monomials_of_degree(A.m, A.N)
+    for word, pexp in words(n - 1) if n > 0 else ():
+        for g in gens:
+            for u in monomials_below(A.m, A.N):
+                row = {}
+                for v in range(A.m):
+                    sign, new = wedge_insert(v, word)
+                    if not g[v] or not sign:
+                        continue
+                    texp = tuple(x + y - (w == v) for w, (x, y) in enumerate(zip(u, g)))
+                    for mono in A.normal_form({(pexp, texp): Fraction(g[v] * sign)}):
+                        row[(mono, new)] = Fraction(g[v] * sign)
+                if row and block_key(A, *next(iter(row))) == key:
+                    assert set(row) <= coords
+                    rows.insert(row)
+    basis = sorted((c for c in coords if c not in rows.rows), key=coord_sort_key(A))
+    return coords, rows, basis
+
+
+PARAM_SETS = [[("a", False)], [("a", True)], [("a", False), ("b", True)]]
+
+
+@pytest.mark.parametrize("m, N, ideal", [(1, 4, []), (2, 3, []), (3, 3, []),
+                                         (2, 4, [{(1, 1): 1}, {(0, 3): 1}])],
+                         ids=["m1", "m2", "m3", "monomial_ideal_m2"])
+def test_parametric_block_matches_definition(m, N, ideal):
+    from nilbloch.derham import _pihat_box, relative, FULL
+    for params in PARAM_SETS:
+        A = Algebra(m, N, ideal=ideal, params=params)
+        pres = relative(A, FULL)
+        bound = 2 if m < 3 else 1
+        checked = 0
+        for n in range(A.m + A.n_params + 1):
+            for key in pres.block_keys(n, _pihat_box(A, bound)):
+                coords, rows, basis = _reference_block(A, n, key)
+                blk = form_block(A, n, key)
+                assert set(blk.coords) == coords and len(blk.coords) == len(coords)
+                assert blk.rows.rows == rows.rows and blk.rows.cols == rows.cols
+                assert blk.basis == basis
+                checked += bool(rows.rows)
+        assert checked

@@ -208,6 +208,23 @@ def test_cli_dense_ideal_power_is_truncated_while_parsed():
     assert json.loads(proc.stdout)["algebra"]["ideal"] == ["200000*t1*t2+t1"]
 
 
+def test_cli_jacobian_of_is_truncated_while_parsed():
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    base = [sys.executable, "-m", "nilbloch", "verify-sequence", "--bound", "4"]
+    proc = subprocess.run(base + ["--jacobian-of", "(1+t1+t2)^2000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and "degree-zero" in proc.stderr
+    # every term dies at the bound, so m comes from the names, not a term
+    proc = subprocess.run(base + ["--jacobian-of", "t1^9+t2^9"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)["reports"][0]
+    assert report["algebra"]["nilpotents"] == 2 and report["passed"] is True
+
+
 def test_polynomial_terms_bound_drops_high_degrees():
     assert polynomial_terms("(1+t)^200000", 1, 3) == {
         (0,): 1, (1,): 200000, (2,): 200000 * 199999 // 2}
