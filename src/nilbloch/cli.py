@@ -174,6 +174,9 @@ def _cmd_verify_sequence(args):
 
 
 def _cmd_singular(args):
+    deg = ps.degree_bound(args.poly)   # the search starts at N = degree + 2
+    if deg > args.N_max - 2:
+        raise ValueError(f"--poly may reach degree {deg}; raise --N-max to at least {deg + 2}")
     rep = sg.singularity_report(ps.polynomial_terms(args.poly), args.N_max)
     out = rep.to_json()
     lines = [f"f = {rep.f}: mu={rep.mu} tau={rep.tau} "

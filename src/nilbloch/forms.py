@@ -329,19 +329,23 @@ def d_elem(elem):
     return d(form_of_element(elem))
 
 
-def wedge(f, g):
-    if f.algebra is not g.algebra:
-        raise ValueError("forms over different algebras")
-    A = f.algebra
+def wedge_terms(algebra, f, g):
+    """Raw (not yet canonical) terms of the wedge of two term dicts."""
     raw = {}
-    for (m1, w1), c1 in f.terms.items():
-        for (m2, w2), c2 in g.terms.items():
+    for (m1, w1), c1 in f.items():
+        for (m2, w2), c2 in g.items():
             sign, word = merge_words(w1, w2)
             if not sign:
                 continue
-            prod = A.mul_terms({m1: c1}, {m2: c2 * sign})
+            prod = algebra.mul_terms({m1: c1}, {m2: c2 * sign})
             vec_iadd(raw, {(mono, word): c for mono, c in prod.items()})
-    return Form(A, f.degree + g.degree, raw)
+    return raw
+
+
+def wedge(f, g):
+    if f.algebra is not g.algebra:
+        raise ValueError("forms over different algebras")
+    return Form(f.algebra, f.degree + g.degree, wedge_terms(f.algebra, f.terms, g.terms))
 
 
 def scale(elem, form):
@@ -353,10 +357,19 @@ def scale(elem, form):
     return Form(A, form.degree, raw)
 
 
+def dlog_base(s):
+    """dlog of a unit s = c*a^e of the base: sum_j e_j a_j^-1 da_j, 0 without parameters."""
+    A = s.algebra
+    ((pexp, texp), _), = s.terms.items()
+    return Form(A, 1, {((tuple(-1 if k == j else 0 for k in range(A.n_params)), texp),
+                        (A.m + j,)): e for j, e in enumerate(pexp) if e})
+
+
 def dlog(u):
-    """du/u for a unit u."""
-    A = u.algebra
-    return scale(A.invert(u), d_elem(u))
+    """du/u for a unit u = s*(1+x), as dlog s + d log(1+x): over Q the
+    truncating log series gives d log(1+x) = dx/(1+x) exactly, with no inverse."""
+    s, x = u.algebra.unit_split(u)
+    return dlog_base(s) + d_elem(u.algebra.log1p(x))
 
 
 def euler_homotopy(form):

@@ -8,15 +8,23 @@ and evaluates each remaining sub-tensor at its first nilpotent slot:
 
     {v_1,..,v_i, 1+x, v_{i+2},..} |-> (-1)^i log(1+x) * wedge of dlog(v_j)
 
-The result is canonicalized in Omega^n/d(Omega^{n-1}) relative to the full
-nilpotent ideal. Evaluating at the last nilpotent slot instead is kept as an
-independence check; the two agree as classes.
+Over Q log exists on 1+x, and dlog(1+x) = d log(1+x) exactly in Omega_R,
+so each distinct entry costs one logarithm per call: s, x, log(1+x),
+dlog s (sum of e_j da_j / a_j, 0 without parameters) and d log(1+x) are
+computed once and reused by every sub-tensor. Only sub-tensors that can
+contribute are visited: a slot offers 1+x only if x != 0 and s only if
+dlog s != 0, and none is visited once the arity exceeds m + params + 1,
+where Omega^n = 0. Terms are wedged and summed raw, then canonicalized once
+in Omega^n/d(Omega^{n-1}) relative to the full nilpotent ideal. Evaluating
+at the last nilpotent slot instead is kept as an independence check; the
+two agree as classes.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .linalg import independent
+from .linalg import independent, vec_iadd
 from .algebra import Algebra, AlgElem, RingMap
 from . import forms as fm
 from .forms import Form, block_key
@@ -128,40 +136,40 @@ def bloch(s, slot="first"):
     """Bloch image of a symbol sum, canonical in Omega^n/d relative full."""
     A = s.algebra
     n = s.arity - 1
-    raw = fm.zero_form(A, n)
+    memo = {}
+
+    def parts(u):
+        """(s, x, log(1+x), dlog s, d log(1+x)) for u = s*(1+x); forms as raw terms."""
+        if u not in memo:
+            base, x = A.unit_split(u)
+            log = A.log1p(x)
+            memo[u] = (base, x, fm.form_of_element(log).terms,
+                       fm.dlog_base(base).terms, fm.d_elem(log).terms)
+        return memo[u]
+
+    raw = {}
     base = []
+    one = A.one()
+    live = s.arity <= A.m + A.n_params + 1      # Omega^n = 0 above
     for coeff, tup in s.terms:
-        splits = [A.unit_split(u) for u in tup]
-        for mask in range(1 << s.arity):
-            entries = []
-            nil_slots = []
-            dead = False
-            for i in range(s.arity):
-                si, xi = splits[i]
-                if (mask >> i) & 1:
-                    if not xi.terms:
-                        dead = True
-                        break
-                    entries.append(A.one() + xi)
-                    nil_slots.append(i)
-                else:
-                    if si == A.one():
-                        dead = True
-                        break
-                    entries.append(si)
-            if dead:
-                continue
+        entries = [parts(u) for u in tup]
+        if all(e[0] != one for e in entries):
+            base.append((coeff, tuple(e[0] for e in entries)))
+        if not live:
+            continue
+        # a slot offers 1+x (True) when x != 0, and s (False) when dlog s != 0
+        offers = [[nil for nil, ok in ((True, e[1]), (False, e[3])) if ok] for e in entries]
+        for choice in product(*offers):
+            nil_slots = [i for i, nil in enumerate(choice) if nil]
             if not nil_slots:
-                base.append((coeff, tuple(entries)))
                 continue
             pick = nil_slots[0] if slot == "first" else nil_slots[-1]
-            piece = fm.form_of_element(A.log1p(splits[pick][1]))
-            for j, v in enumerate(entries):
-                if j == pick:
-                    continue
-                piece = fm.wedge(piece, fm.dlog(v))
-            raw = raw + Fraction(coeff * (-1) ** pick) * piece
-    rep = dr.quotient_class(raw, dr.FULL)
+            piece = entries[pick][2]
+            for j, (nil, e) in enumerate(zip(choice, entries)):
+                if j != pick:
+                    piece = fm.wedge_terms(A, piece, e[4] if nil else e[3])
+            vec_iadd(raw, piece, coeff * (-1) ** pick)
+    rep = dr.quotient_class(Form(A, n, raw), dr.FULL)
     return BlochClass(A, n, rep, base, slot)
 
 

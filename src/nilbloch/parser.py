@@ -386,6 +386,25 @@ def nilpotent_count(text):
     return _nilpotent_count(_variables(parse_expr(text)))
 
 
+def degree_bound(text):
+    """A bound, read from the AST, on the degree of every polynomial parsing text forms:
+    a sum takes the max, a product the sum, a power e times its base (the base alone
+    for e < 1, which is still expanded), a negation or quotient its argument's."""
+    def deg(node):
+        kind = node[0]
+        if kind == "sum":
+            return max(map(deg, node[1]))
+        if kind == "prod":
+            return sum(map(deg, node[1]))
+        if kind == "pow":
+            return max(node[2], 1) * deg(node[1])
+        if kind in ("neg", "inv", "call"):
+            return deg(node[-1])
+        return int(kind == "var")
+
+    return deg(parse_expr(text))
+
+
 def polynomial_terms(text, m=None, bound=None):
     """Parse a polynomial in the nilpotent variables into {texp: Fraction}.
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from nilbloch.algebra import Algebra, RingMap
 from nilbloch.forms import (Form, d, d_elem, dlog, euler_homotopy, form_block,
                             form_of_element, form_str, graded_component,
-                            push_form, wedge, zero_form, block_key)
+                            push_form, scale, wedge, zero_form, block_key)
+from nilbloch import sampling as sp
 
 A = Algebra(2, 4)
 B = Algebra(1, 4, params=[("a", False), ("b", True)])
@@ -85,6 +87,26 @@ def test_dlog_of_invertible_parameter():
     b = B.var("b")
     w = dlog(b)
     assert form_str(w) == "1 * b^-1 * db"
+
+
+def test_dlog_equals_inverse_times_d_on_random_units():
+    """dlog u = dlog s + d log(1+x) against the definition u^-1 du."""
+    rng = random.Random(9)
+    gap = {(4, 0): 1, (2, 3): 1, (0, 5): 1}
+    algebras = [Algebra(1, 5), Algebra(2, 4), Algebra(3, 3),
+                Algebra(2, 6, ideal=[{(3, 0): 1, (0, 3): 1}]), Algebra(2, 8, ideal=[gap]),
+                Algebra(1, 5, params=[("a", False), ("b", True)])]
+    for C in algebras:
+        zero = ((0,) * C.n_params, (0,) * C.m)
+        pexps = [(i, j) for i in range(3) for j in range(-2, 3)] if C.n_params else [()]
+        monos = [(p, e) for p in pexps for e in C.nil_basis if sum(e)]
+        for _ in range(70):
+            spexp = (0, rng.randint(-3, 3)) if C.n_params else ()
+            s = C.element({(spexp, zero[1]): sp.random_rational(rng, nonzero=True)})
+            x = C.element({mono: sp.random_rational(rng)
+                           for mono in rng.sample(monos, rng.randint(0, 4))})
+            u = s * (C.one() + x)
+            assert dlog(u) == scale(C.invert(u), d_elem(u)), (C.describe(), u)
 
 
 def test_homotopy_identity_small():

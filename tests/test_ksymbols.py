@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilbloch.algebra import Algebra
+from nilbloch import forms as fm
 from nilbloch.forms import Form, d, form_str, zero_form
 from nilbloch.derham import FULL, quotient_class
 from nilbloch.ksymbols import (SymbolSum, bloch, dlog_symbol,
@@ -226,3 +229,79 @@ def test_lambda_scales_depth():
     moved = map_symbol(lam, s)
     cl = bloch(moved)
     assert min(cl.rep.internal_degrees()) >= 4
+
+
+def _bloch_reference(s, slot="first"):
+    """The Bloch map by its definition: every sub-tensor mask, dlog as u^-1 du."""
+    A = s.algebra
+    n = s.arity - 1
+    raw = fm.zero_form(A, n)
+    base = []
+    for coeff, tup in s.terms:
+        splits = [A.unit_split(u) for u in tup]
+        for mask in range(1 << s.arity):
+            entries = []
+            nil_slots = []
+            dead = False
+            for i in range(s.arity):
+                si, xi = splits[i]
+                if (mask >> i) & 1:
+                    if not xi.terms:
+                        dead = True
+                        break
+                    entries.append(A.one() + xi)
+                    nil_slots.append(i)
+                else:
+                    if si == A.one():
+                        dead = True
+                        break
+                    entries.append(si)
+            if dead:
+                continue
+            if not nil_slots:
+                base.append((coeff, tuple(entries)))
+                continue
+            pick = nil_slots[0] if slot == "first" else nil_slots[-1]
+            piece = fm.form_of_element(A.log1p(splits[pick][1]))
+            for j, v in enumerate(entries):
+                if j == pick:
+                    continue
+                piece = fm.wedge(piece, fm.scale(A.invert(v), fm.d_elem(v)))
+            raw = raw + Fraction(coeff * (-1) ** pick) * piece
+    return quotient_class(raw, FULL), base
+
+
+REFERENCE_ALGEBRAS = [Algebra(1, 4), Algebra(2, 3),
+                      Algebra(1, 3, params=[("a", False), ("b", True)]),
+                      Algebra(2, 3, params=[("b", True)])]
+
+
+@st.composite
+def _unit(draw, A):
+    """s*(1+x): s = c*b^e over the invertible parameters, x nilpotent or 0."""
+    zero_t = (0,) * A.m
+    spexp = tuple(draw(st.integers(-2, 2)) if p.invertible else 0 for p in A.params)
+    s = A.element({(spexp, zero_t): draw(st.sampled_from([1, 1, 2, Fraction(-1, 3)]))})
+    pexps = st.tuples(*(st.integers(-1 if p.invertible else 0, 1) for p in A.params))
+    texps = st.sampled_from([e for e in A.nil_basis if sum(e)])
+    x = draw(st.dictionaries(st.tuples(pexps, texps),
+                             st.fractions(-2, 2, max_denominator=2), max_size=2))
+    return s * (A.one() + A.element(x))
+
+
+@st.composite
+def _symbol_sum(draw):
+    A = draw(st.sampled_from(REFERENCE_ALGEBRAS))
+    arity = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 3]),
+                                    st.tuples(*[_unit(A)] * arity)), min_size=1, max_size=2))
+    return SymbolSum(A, arity, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=_symbol_sum(), slot=st.sampled_from(["first", "last"]))
+def test_bloch_matches_reference(s, slot):
+    rep, base = _bloch_reference(s, slot)
+    cl = bloch(s, slot)
+    assert cl.rep == rep
+    assert cl.base == base

@@ -11,7 +11,7 @@ from nilbloch.algebra import Algebra
 from nilbloch.forms import d, form_of_element, form_str
 from nilbloch.ksymbols import bloch, dlog_symbol
 from nilbloch.parser import (MAX_DEPTH, algebra_from_json, algebra_to_json,
-                             parse_element, parse_form, parse_symbol_sum,
+                             degree_bound, parse_element, parse_form, parse_symbol_sum,
                              polynomial_terms)
 
 R3 = Algebra(1, 3)
@@ -223,6 +223,48 @@ def test_cli_jacobian_of_is_truncated_while_parsed():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)["reports"][0]
     assert report["algebra"]["nilpotents"] == 2 and report["passed"] is True
+
+
+def test_cli_bloch_high_arity_returns_quickly(tmp_path):
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    spec = tmp_path / "alg.json"
+    spec.write_text(json.dumps({"nilpotents": 1, "bound": 3,
+                                "params": [{"name": "b", "invertible": True}]}))
+    # 22 slots would be 2^22 sub-tensors; Omega^21 is 0 in both algebras
+    for entry, flags in (("1+t", []), ("2", []), ("b+b*t", ["--algebra", str(spec)])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilbloch", "bloch", "--m", "1", "--N", "3",
+             "--symbol", "{" + ",".join([entry] * 22) + "}"] + flags,
+            env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert (data["degree"], data["zero"]) == (21, True)
+
+
+def test_cli_singular_poly_degree_budget():
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    base = [sys.executable, "-m", "nilbloch", "singular", "--poly", "(1+t1+t2)^3000"]
+    proc = subprocess.run(base, env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and not proc.stdout
+    assert "raise --N-max to at least 3002" in proc.stderr
+    proc = subprocess.run(base[:-1] + ["t^23"], env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 2 and "--N-max" in proc.stderr
+
+
+def test_degree_bound_covers_every_parsed_degree():
+    for text, bound in [("t1^4+t1^2*t2^3+t2^5", 5), ("(1+t1+t2)^3000", 3000),
+                        ("3/2*t1^2*t2 - (t2)^2", 3), ("(t1*(1+t2)^3)^0 + t2", 4),
+                        ("7", 0), ("-t/2", 1), ("(t-t)^5", 5)]:
+        assert degree_bound(text) == bound, text
+    for text in ("(1+t1-2*t2)^5*(t2-t1)", "t1^4*t2 + t2^3", "(t1*t2)^2 + t1"):
+        assert max(map(sum, polynomial_terms(text, 2))) <= degree_bound(text)
 
 
 def test_polynomial_terms_bound_drops_high_degrees():
