@@ -13,11 +13,17 @@ exponents may be negative only on parameters declared invertible.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .linalg import RowSpace, vec_add, vec_iadd
 
 _RESERVED = {"exp", "log"}
+
+# Omega^* of Q[t_1..t_m]/m^N has 2^m * C(N - 1 + m, m) coordinates. Algebra
+# rejects a larger one before it lists a monomial, so oversized input fails
+# at once instead of hanging: m = N = 8 (1.65M) still runs, m = N = 9 (12.4M)
+# does not
+MAX_FORM_COORDS = 2_000_000
 
 
 def compositions(total, parts):
@@ -215,6 +221,14 @@ class Algebra:
             raise ValueError("need at least one nilpotent variable")
         if bound < 1:
             raise ValueError("nilpotency bound must be at least 1")
+        # 2^m alone passes the limit from m = 21 on; checking m first keeps
+        # C(N - 1 + m, m) cheap to form, whatever N is
+        coords = (2 ** nilpotents * comb(bound - 1 + nilpotents, nilpotents)
+                  if nilpotents < MAX_FORM_COORDS.bit_length() else None)
+        if coords is None or coords > MAX_FORM_COORDS:
+            raise ValueError(f"the forms of m = {nilpotents}, N = {bound} have "
+                             f"{coords or f'over 2^{nilpotents}'} coordinates, "
+                             f"above the limit {MAX_FORM_COORDS}")
         self.m = nilpotents
         self.N = bound
         self.params = tuple(ParamSpec(p.name, p.invertible) if isinstance(p, ParamSpec)

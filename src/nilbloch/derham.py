@@ -23,11 +23,14 @@ relative block (i >= k >= 1) is acyclic and the rank of d into degree n is
 the alternating sum of the block dimensions below n. The tests check both
 against the class_rows solve, which still serves exactness and certificates.
 
-Graded dimensions come from the parameter-free twin, since parameters are
-passive (see forms): at a multidegree pihat where f parameters may carry a
-da_j, dim Omega^n_rel is sum_s C(f, s) dim_twin(n - s), and 0 when pihat
-has a negative exponent on a non-invertible parameter. So a parametric
-FULL/POWER table builds no parametric block at all.
+Graded dimensions are counted too. A parameter-free block dimension is
+the sum of forms.graded_dims over the block's fine multidegrees (see
+forms), with no elimination of the block. A parametric one comes from the
+parameter-free twin, since parameters are passive: at a multidegree pihat
+where f parameters may carry a da_j, dim Omega^n_rel is
+sum_s C(f, s) dim_twin(n - s), and 0 when pihat has a negative exponent on
+a non-invertible parameter. So a FULL/POWER table builds no FormBlock at
+all; FormBlock serves bases, canonical coordinates and class solves.
 """
 
 from dataclasses import dataclass
@@ -178,7 +181,7 @@ class BlockedRelative(_Relative):
         return [(i, p) for p in self._pihats(pihats) for i in range(self.k, top)]
 
     def dim(self, n, pihats=None):
-        """Counted from the parameter-free twin; builds no parametric block."""
+        """Counted by forms.graded_dims (of the twin when parametric); builds no block."""
         return sum(self._dim(n, self._free(p)) for p in self._pihats(pihats))
 
     def rank(self, n, pihats=None):
@@ -204,7 +207,8 @@ class BlockedRelative(_Relative):
                 twin = relative(fm.param_free_twin(self.A), self.rel)
                 dim = sum(comb(f, s) * twin._dim(n - s, 0) for s in range(f + 1))
             else:
-                dim = sum(len(self._tags(n, key)) for key in self.block_keys(n))
+                dims = fm.graded_dims(self.A)
+                dim = sum(dims.get((n, i), 0) for i, _ in self.block_keys(n))
             self._dims[(n, f)] = dim
         return self._dims[(n, f)]
 

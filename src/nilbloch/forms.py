@@ -19,13 +19,32 @@ Omega_S tensor Omega of its parameter-free twin Q[t]/J, so a relation row
 d(g) u dT ^ da_D keeps its parameter exponent and its word D. Only twin
 blocks are eliminated; a parametric block (n, (i, pihat)) is the twin
 blocks (n - |D|, (i, ())) relabelled, one for each allowed D.
+
+Graded block dimensions are counted, not eliminated (graded_dims). In
+Q[t]/J with J monomial, the coordinate t^beta dt_I has fine multidegree
+alpha = beta + 1_I in N^m. The relations and d both preserve alpha, and
+block (n, (i, ())) is the sum of the fine blocks with |alpha| = i. Let S =
+supp alpha and s = |S|. In fine degree alpha the n-coordinates are the
+subsets I of S with |I| = n, and I is alive iff alpha - 1_I is not in J;
+the dead subsets form a down-set Delta_alpha. Every relation row u da^dT
+has the same alive terms as d(t^(alpha - 1_T))^dT for a dead T with
+|T| = n - 1 (the terms where u or a keeps its t_v lie in J). Rescaling
+e_I by prod_{v in I} alpha_v turns these rows into the unweighted signed
+coboundary sum_{v in S - T} +-e_{T+v}. So dim_alpha(n) = #alive n-subsets
+- rank depends only on (s, Delta_alpha): it is C(s, n) when alpha is
+alive, 0 when alpha - 1_S is dead, and otherwise one small exact
+elimination, memoized per algebra by (s, Delta_alpha). The memo key
+reads Delta_alpha off the generators instead of listing it: I is dead iff
+|I| <= |alpha| - N or I lies in {v in S: alpha_v > g_v} for a generator g
+dividing alpha.
+FormBlock stays the only source of bases and canonical coordinates.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import RowSpace, vec_add, vec_iadd, vec_scale
-from .algebra import AlgElem, Algebra, monomials_of_degree
+from .linalg import RowSpace, independent, vec_add, vec_iadd, vec_scale
+from .algebra import AlgElem, Algebra, _divides, monomials_of_degree
 
 WHOLE = "whole"
 
@@ -204,6 +223,64 @@ def param_free_twin(algebra):
         twin = algebra._twin = Algebra(algebra.m, algebra.N,
                                        ideal=[{e: 1} for e in algebra.mono_gens])
     return twin
+
+
+def graded_dims(algebra):
+    """{(n, i): dim of block (n, (i, ()))} of Q[t]/J, counted per fine multidegree; cached."""
+    dims = getattr(algebra, "_graded_dims", None)
+    if dims is None:
+        if algebra.n_params or not algebra.monomial_ideal:
+            raise ValueError("graded dims need a parameter-free monomial ideal")
+        memo = {}
+        dims = algebra._graded_dims = {}
+        for alpha, S in _fine_degrees(algebra):
+            i = sum(alpha)
+            # Delta_alpha: the I with |I| <= i - N, and for each generator g
+            # dividing alpha the subsets of U_g = {v in S: alpha_v > g_v}
+            covers = frozenset(sum(1 << b for b, v in enumerate(S) if alpha[v] > g[v])
+                               for g in algebra.mono_gens if _divides(g, alpha))
+            key = (len(S), max(i - algebra.N, -1), covers)
+            if key not in memo:
+                memo[key] = _fine_dims(*key)
+            for n, dim in enumerate(memo[key]):
+                if dim:
+                    dims[(n, i)] = dims.get((n, i), 0) + dim
+    return dims
+
+
+def _fine_degrees(algebra):
+    """Each fine multidegree alpha holding a coordinate, with S = supp alpha.
+
+    alpha - 1_S is the smallest coefficient of fine degree alpha, so alpha
+    holds a coordinate iff it is alive: alpha = gamma + 1_S for an alive
+    gamma and an S containing supp gamma, each alpha exactly once.
+    """
+    for gamma in algebra.nil_basis:
+        zeros = [v for v, g in enumerate(gamma) if not g]
+        for r in range(len(zeros) + 1):
+            for extra in combinations(zeros, r):
+                alpha = tuple(g + 1 if g or v in extra else 0 for v, g in enumerate(gamma))
+                yield alpha, [v for v, a in enumerate(alpha) if a]
+
+
+def _fine_dims(s, k, covers):
+    """dim_alpha(n) for n = 0..s: alive n-subsets minus the rank of the dead rows.
+
+    Subsets I of S are bitmasks; I is dead iff |I| <= k or I lies in a cover.
+    S itself is alive, so a dead I has |I| < s.
+    """
+    dead = [I.bit_count() <= k or any(not I & ~U for U in covers) for I in range(1 << s)]
+    dims = [0] * (s + 1)
+    rows = [[] for _ in range(s + 1)]
+    for I, gone in enumerate(dead):
+        n = I.bit_count()
+        if not gone:
+            dims[n] += 1
+        else:
+            # d(t^(alpha - 1_I)) ^ dt_I, rescaled: the signed coboundary of e_I
+            rows[n + 1].append({I | 1 << v: (-1) ** (I & ((1 << v) - 1)).bit_count()
+                                for v in range(s) if not I >> v & 1 and not dead[I | 1 << v]})
+    return tuple(dim - len(independent(r)) for dim, r in zip(dims, rows))
 
 
 def form_block(algebra, n, key):

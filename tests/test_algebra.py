@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch.algebra import Algebra, RingMap, power_algebra
+from nilbloch.algebra import MAX_FORM_COORDS, Algebra, RingMap, power_algebra
 
 A = Algebra(2, 4)
 B = Algebra(1, 5, params=[("a", False), ("b", True)])
@@ -213,3 +213,12 @@ def test_pow_of_nilpotent_with_huge_exponent_is_zero():
     assert t ** 30000000 == A.zero()
     assert (t + A.nil(1)) ** (10 ** 12) == A.zero()
     assert A.one() ** (10 ** 12) == A.one()
+
+
+def test_form_coordinate_budget():
+    assert MAX_FORM_COORDS == 2_000_000
+    assert len(Algebra(8, 8).nil_basis) == 6435      # 2^8 * 6435 = 1,647,360 coordinates
+    with pytest.raises(ValueError, match="have 12446720 coordinates, above the limit 2000000"):
+        Algebra(9, 9)
+    with pytest.raises(ValueError, match="over 2\\^1000000000 coordinates"):
+        Algebra(10 ** 9, 10 ** 9)

@@ -295,6 +295,16 @@ def test_graded_cohomology_builds_no_class_rows():
 
 
 @pytest.mark.parametrize("A, rel", [
+    (Algebra(3, 4), FULL),
+    (Algebra(1, 6), POWER(2)),
+    (Algebra(3, 4, ideal=[{(2, 0, 0): 1}, {(0, 1, 1): 1}]), FULL),
+], ids=["full_m3", "power2_m1", "monomial_ideal_m3"])
+def test_graded_cohomology_builds_no_form_block(A, rel):
+    assert cohomology(A, rel).all_zero()
+    assert A._form_cache == {}          # dims counted per fine multidegree
+
+
+@pytest.mark.parametrize("A, rel", [
     (Algebra(1, 4, params=[("a", False), ("b", True)]), FULL),
     (Algebra(2, 3, params=[("a", True)]), FULL),
     (Algebra(2, 4, ideal=[{(1, 1): 1}], params=[("a", False), ("b", False)]), FULL),

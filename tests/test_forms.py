@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nilbloch.algebra import Algebra, RingMap
 from nilbloch.forms import (Form, d, d_elem, dlog, euler_homotopy, form_block,
-                            form_of_element, form_str, graded_component,
+                            form_of_element, form_str, graded_component, graded_dims,
                             push_form, scale, wedge, zero_form, block_key)
 from nilbloch import sampling as sp
 
@@ -262,3 +262,23 @@ def test_parametric_block_matches_definition(m, N, ideal):
                 assert blk.basis == basis
                 checked += bool(rows.rows)
         assert checked
+
+
+def _assert_graded_dims_match_blocks(A):
+    dims = graded_dims(A)
+    keys = [(n, i) for n in range(A.m + 2) for i in range(A.N + A.m + 1)]
+    assert set(dims) <= set(keys)
+    for n, i in keys:
+        assert dims.get((n, i), 0) == form_block(A, n, (i, ())).dim, (n, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4), N=st.integers(2, 8), data=st.data())
+def test_graded_dims_match_form_blocks(m, N, data):
+    exps = st.lists(st.integers(0, N), min_size=m, max_size=m).map(tuple).filter(any)
+    gens = data.draw(st.lists(exps, max_size=3))
+    _assert_graded_dims_match_blocks(Algebra(m, N, ideal=[{e: 1} for e in gens]))
+
+
+def test_graded_dims_match_form_blocks_full_m5():
+    _assert_graded_dims_match_blocks(Algebra(5, 6))

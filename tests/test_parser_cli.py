@@ -244,6 +244,19 @@ def test_cli_bloch_high_arity_returns_quickly(tmp_path):
         assert (data["degree"], data["zero"]) == (21, True)
 
 
+def test_cli_oversized_algebra_exits_two():
+    import nilbloch
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for args in (["cohom", "--m", "9", "--N", "9"], ["cohom", "--m", "20", "--N", "20"],
+                 ["bloch", "--m", "20", "--N", "20", "--symbol", "{2,3}"]):
+        proc = subprocess.run([sys.executable, "-m", "nilbloch"] + args,
+                              env=env, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        assert "above the limit 2000000" in proc.stderr
+
+
 def test_cli_singular_poly_degree_budget():
     import nilbloch
     env = dict(os.environ)
