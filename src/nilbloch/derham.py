@@ -20,8 +20,9 @@ against what was kept.
 Graded ranks are counted, not solved: the Euler contraction h
 (forms.euler_homotopy) has dh + hd = i on block (i, pihat), so over Q every
 relative block (i >= k >= 1) is acyclic and the rank of d into degree n is
-the alternating sum of the block dimensions below n. The tests check both
-against the class_rows solve, which still serves exactness and certificates.
+the alternating sum of the block dimensions below n, memoized as rank(n) =
+dim(n - 1) - rank(n - 1). The tests check both against the class_rows
+solve, which still serves exactness and certificates.
 
 Graded dimensions are counted too. A parameter-free block dimension is
 the sum of forms.graded_dims over the block's fine multidegrees (see
@@ -36,7 +37,7 @@ all; FormBlock serves bases, canonical coordinates and class solves.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .linalg import RowSpace, independent, nullspace, vec_dot, vec_iadd
 from .algebra import Algebra, RingMap, poly_terms
@@ -60,6 +61,8 @@ class RelativeSpec:
 
 
 FULL = RelativeSpec("full")
+
+MAX_TABLE_ROWS = 500_000     # a table is held and printed whole, about 2 KB a row
 
 
 def POWER(k):
@@ -168,6 +171,7 @@ class BlockedRelative(_Relative):
         super().__init__(algebra, rel)
         self.k = 1 if rel.kind == "full" else rel.k
         self._dims = {}
+        self._ranks = {}
 
     def _pihats(self, pihats):
         if pihats is None:
@@ -186,8 +190,7 @@ class BlockedRelative(_Relative):
 
     def rank(self, n, pihats=None):
         """Counted, not solved: every relative block (i >= k >= 1) is acyclic."""
-        return sum((-1) ** (n - 1 - j) * self._dim(j, f)
-                   for f in map(self._free, self._pihats(pihats)) for j in range(n))
+        return sum(self._rank(n, self._free(p)) for p in self._pihats(pihats))
 
     def _free(self, pihat):
         """The count f of j with da_j allowed at pihat; None if pihat holds no form."""
@@ -211,6 +214,12 @@ class BlockedRelative(_Relative):
                 dim = sum(dims.get((n, i), 0) for i, _ in self.block_keys(n))
             self._dims[(n, f)] = dim
         return self._dims[(n, f)]
+
+    def _rank(self, n, f):
+        """rank(n) = dim(n - 1) - rank(n - 1), memoized like _dim."""
+        if n > 0 and f is not None and (n, f) not in self._ranks:
+            self._ranks[(n, f)] = self._dim(n - 1, f) - self._rank(n - 1, f)
+        return self._ranks.get((n, f), 0)
 
     def _tags(self, n, key):
         return form_block(self.A, n, key).basis if key[0] >= self.k else ()
@@ -255,6 +264,8 @@ class WholeRelative(_Relative):
             A = self.A
             keys = ([(i, _zero_pihat(A)) for i in range(A.N + min(n, A.m))]
                     if A.monomial_ideal else [WHOLE])
+            if n >= 0:
+                fm.whole_budget(A, n)
             coords = [c for key in keys for c in form_block(A, n, key).basis] if n >= 0 else []
             if self.rel.kind == "full":
                 vecs = [{c: Fraction(1)} for c in coords if n or sum(c[0][1]) >= 1]
@@ -385,10 +396,16 @@ def _pihat_box(algebra, bound):
 
 def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
     """dim H^n per degree, and per parameter multidegree in parametric mode."""
-    pres = relative(algebra, rel)
     if n_max is None:
         n_max = algebra.m + algebra.n_params
-    pihats = _pihat_box(algebra, param_bound or 0)   # [()] without parameters
+    b = param_bound or 0
+    count = (n_max + 1) * prod(2 * b + 1 if p.invertible else b + 1 for p in algebra.params)
+    if count > MAX_TABLE_ROWS:
+        raise ValueError(f"the table has {count} rows, above the limit {MAX_TABLE_ROWS}")
+    pres = relative(algebra, rel)
+    for n in range(n_max + 1) if not pres.graded else ():
+        fm.whole_budget(algebra, n)     # before any degree is solved
+    pihats = _pihat_box(algebra, b)   # [()] without parameters
     rows = []
     for n in range(n_max + 1):
         for p in pihats:

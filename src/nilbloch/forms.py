@@ -33,20 +33,28 @@ e_I by prod_{v in I} alpha_v turns these rows into the unweighted signed
 coboundary sum_{v in S - T} +-e_{T+v}. So dim_alpha(n) = #alive n-subsets
 - rank depends only on (s, Delta_alpha): it is C(s, n) when alpha is
 alive, 0 when alpha - 1_S is dead, and otherwise one small exact
-elimination, memoized per algebra by (s, Delta_alpha). The memo key
-reads Delta_alpha off the generators instead of listing it: I is dead iff
-|I| <= |alpha| - N or I lies in {v in S: alpha_v > g_v} for a generator g
-dividing alpha.
+elimination, _fine_dims(s, k, covers), kept in one bounded process-wide
+memo as its key names no algebra: I is dead iff |I| <= k = |alpha| - N or
+I lies in a cover {v in S: alpha_v > g_v} of a generator g dividing alpha.
+Without J no alpha is listed: C(m, s) C(i - 1, s - 1) of them have
+|supp alpha| = s and |alpha| = i (s <= i <= N - 1 + s), all with one key.
+J changes only the alpha a generator divides; graded_dims visits those
+alone, takes off their J-free share and adds their own.
 FormBlock stays the only source of bases and canonical coordinates.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .linalg import RowSpace, independent, vec_add, vec_iadd, vec_scale
-from .algebra import AlgElem, Algebra, _divides, monomials_of_degree
+from .algebra import AlgElem, Algebra, _divides, monomials_below, monomials_of_degree
 
 WHOLE = "whole"
+# a degree presented as one WHOLE block is eliminated at once (whole_budget)
+MAX_WHOLE_COORDS = 450_000
 
 
 def wedge_insert(idx, word):
@@ -140,6 +148,8 @@ class FormBlock:
         A = self.algebra
         if self.n < 0:
             return []
+        if self.key == WHOLE:
+            whole_budget(A, self.n)
         # graded: the word dT has n slots, so texp has internal degree i - n
         texps = A.nil_basis if self.key == WHOLE else A._basis_by_degree.get(
             self.key[0] - self.n, [])
@@ -153,8 +163,10 @@ class FormBlock:
         if self.key == WHOLE:
             for g in gens:
                 for u in A.nil_basis:
+                    if sum(u) + min(map(sum, g)) > A.N:
+                        continue        # every term of u d(g) has degree >= N
                     for W in combinations(range(A.m), self.n - 1):
-                        row = {}
+                        by_word = {}    # the word fixes v, so no raw monomial repeats
                         for a, ca in g.items():
                             for v in range(A.m):
                                 if not a[v] or v in W:
@@ -164,8 +176,9 @@ class FormBlock:
                                 if sum(raw) >= A.N:
                                     continue
                                 sign, word = wedge_insert(v, W)
-                                nf = A.normal_form({((), raw): ca * a[v] * sign})
-                                vec_iadd(row, {(mono, word): c for mono, c in nf.items()})
+                                by_word.setdefault(word, {})[((), raw)] = ca * a[v] * sign
+                        row = {(mono, word): c for word, poly in by_word.items()
+                               for mono, c in A.normal_form(poly).items()}
                         if row:
                             yield row
             return
@@ -190,6 +203,14 @@ class FormBlock:
                         row[(((), mono), new)] = Fraction(a[v] * sign)
                     if row:
                         yield row
+
+
+def whole_budget(algebra, n):
+    """Refuse degree n >= 0 as one WHOLE block of more than MAX_WHOLE_COORDS coordinates."""
+    count = comb(algebra.m, n) * len(algebra.nil_basis)
+    if count > MAX_WHOLE_COORDS:
+        raise ValueError(f"degree {n} of m = {algebra.m}, N = {algebra.N} has {count} "
+                         f"coordinates in one block, above the limit {MAX_WHOLE_COORDS}")
 
 
 def _pexp_for(algebra, pihat, dparams):
@@ -231,38 +252,40 @@ def graded_dims(algebra):
     if dims is None:
         if algebra.n_params or not algebra.monomial_ideal:
             raise ValueError("graded dims need a parameter-free monomial ideal")
-        memo = {}
-        dims = algebra._graded_dims = {}
-        for alpha, S in _fine_degrees(algebra):
-            i = sum(alpha)
-            # Delta_alpha: the I with |I| <= i - N, and for each generator g
-            # dividing alpha the subsets of U_g = {v in S: alpha_v > g_v}
-            covers = frozenset(sum(1 << b for b, v in enumerate(S) if alpha[v] > g[v])
-                               for g in algebra.mono_gens if _divides(g, alpha))
-            key = (len(S), max(i - algebra.N, -1), covers)
-            if key not in memo:
-                memo[key] = _fine_dims(*key)
-            for n, dim in enumerate(memo[key]):
-                if dim:
-                    dims[(n, i)] = dims.get((n, i), 0) + dim
+        m, N, gens = algebra.m, algebra.N, algebra.mono_gens
+        # how many alpha have each (|alpha|, _fine_dims key); first without J
+        counts = Counter({(0, (0, -1, frozenset())): 1})
+        for s in range(1, m + 1):
+            for i in range(s, N + s):
+                counts[(i, (s, max(i - N, -1), frozenset()))] += comb(m, s) * comb(i - 1, s - 1)
+        # then each alpha = beta + 1_S a generator g divides: beta >= g - 1, S covers g, beta
+        for g in gens:
+            low = tuple(max(e - 1, 0) for e in g)
+            for extra in monomials_below(m, N - sum(low)):
+                beta = tuple(map(sum, zip(low, extra)))
+                zeros = [v for v in range(m) if not beta[v] and not g[v]]
+                for r in range(len(zeros) + 1):
+                    for more in combinations(zeros, r):
+                        alpha = tuple(b + 1 if b or g[v] or v in more else 0
+                                      for v, b in enumerate(beta))
+                        divs = [h for h in gens if _divides(h, alpha)]
+                        if divs[0] != g:
+                            continue        # counted with an earlier generator
+                        S, i = [v for v, a in enumerate(alpha) if a], sum(alpha)
+                        counts[(i, (len(S), max(i - N, -1), frozenset()))] -= 1
+                        if not any(_divides(h, beta) for h in divs):   # beta alive
+                            counts[(i, (len(S), max(i - N, -1), frozenset(
+                                sum(1 << b for b, v in enumerate(S) if alpha[v] > h[v])
+                                for h in divs)))] += 1
+        dims = Counter()
+        for (i, key), times in counts.items():
+            for n, dim in enumerate(_fine_dims(*key) if times else ()):
+                dims[(n, i)] += times * dim
+        dims = algebra._graded_dims = {k: dim for k, dim in dims.items() if dim}
     return dims
 
 
-def _fine_degrees(algebra):
-    """Each fine multidegree alpha holding a coordinate, with S = supp alpha.
-
-    alpha - 1_S is the smallest coefficient of fine degree alpha, so alpha
-    holds a coordinate iff it is alive: alpha = gamma + 1_S for an alive
-    gamma and an S containing supp gamma, each alpha exactly once.
-    """
-    for gamma in algebra.nil_basis:
-        zeros = [v for v, g in enumerate(gamma) if not g]
-        for r in range(len(zeros) + 1):
-            for extra in combinations(zeros, r):
-                alpha = tuple(g + 1 if g or v in extra else 0 for v, g in enumerate(gamma))
-                yield alpha, [v for v, a in enumerate(alpha) if a]
-
-
+@lru_cache(maxsize=4096)
 def _fine_dims(s, k, covers):
     """dim_alpha(n) for n = 0..s: alive n-subsets minus the rank of the dead rows.
 

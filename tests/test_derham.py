@@ -323,3 +323,15 @@ def test_counted_dim_and_rank_match_blocks(A, rel):
     assert all(pres.dim(n, negative) == 0 for n in range(A.m + A.n_params + 1))
     box = _pihat_box(A, 1)
     assert pres.dim(1, box) == sum(pres.dim(1, [p]) for p in box) > 0
+
+
+@pytest.mark.parametrize("m, N", [(1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4)])
+def test_memoized_rank_matches_alternating_sum(m, N):
+    for k in range(1, 4):
+        for n_inv in range(k + 1):
+            A = Algebra(m, N, params=[(name, j < n_inv) for j, name in enumerate("abc"[:k])])
+            pres = relative(A, FULL)
+            for p in _pihat_box(A, 2):
+                for n in range(m + k + 2):
+                    alt = sum((-1) ** (n - 1 - j) * pres.dim(j, [p]) for j in range(n))
+                    assert pres.rank(n, [p]) == alt, (p, n)

@@ -282,3 +282,73 @@ def test_graded_dims_match_form_blocks(m, N, data):
 
 def test_graded_dims_match_form_blocks_full_m5():
     _assert_graded_dims_match_blocks(Algebra(5, 6))
+
+
+def test_graded_dims_closed_form_matches_form_blocks_full():
+    for m in range(1, 5):
+        for N in range(2, 9):
+            _assert_graded_dims_match_blocks(Algebra(m, N))
+
+
+def test_fine_dims_memo_is_shared_across_algebras():
+    from nilbloch.forms import _fine_dims
+    gens = [{(2, 1, 0): 1}, {(0, 1, 1): 1}]
+    graded_dims(Algebra(3, 6, ideal=gens))
+    misses = _fine_dims.cache_info().misses
+    again = Algebra(3, 6, ideal=gens)
+    assert graded_dims(again) and again._form_cache == {}
+    assert _fine_dims.cache_info().misses == misses
+
+
+def _whole_rows_per_term(A, n):
+    """WHOLE relation rows from the unfiltered loop, one normal_form per term."""
+    from itertools import combinations
+    from nilbloch.forms import _form_gens, coord_sort_key, wedge_insert
+    from nilbloch.linalg import RowSpace, vec_iadd
+    rows = RowSpace(order=coord_sort_key(A))
+    for g in _form_gens(A):
+        for u in A.nil_basis:
+            for W in combinations(range(A.m), n - 1):
+                row = {}
+                for a, ca in g.items():
+                    for v in range(A.m):
+                        if not a[v] or v in W:
+                            continue
+                        raw = tuple(x + y - (w == v) for w, (x, y) in enumerate(zip(u, a)))
+                        if sum(raw) >= A.N:
+                            continue
+                        sign, word = wedge_insert(v, W)
+                        nf = A.normal_form({((), raw): ca * a[v] * sign})
+                        vec_iadd(row, {(mono, word): c for mono, c in nf.items()})
+                if row:
+                    rows.insert(row)
+    return rows
+
+
+def _explicit_quotient():
+    """R/I of the relative explicit:2*t1-3*t2;t3^2 over Q[t1,t2,t3]/m^4."""
+    from nilbloch.derham import EXPLICIT, relative
+    rel = EXPLICIT([{(1, 0, 0): 2, (0, 1, 0): -3}, {(0, 0, 2): 1}])
+    return relative(Algebra(3, 4), rel).quotient
+
+
+GAP = {(4, 0): Fraction(2), (2, 3): Fraction(-3, 2), (0, 5): Fraction(1)}
+WHOLE_ALGEBRAS = {
+    "fermat3": lambda: Algebra(2, 5, ideal=[{(3, 0): 2, (0, 3): Fraction(-1, 2)}]),
+    "gap_quotient": lambda: Algebra(2, 6, ideal=[GAP]),
+    "gap_jacobian": lambda: Algebra(2, 6, ideal=[{(3, 0): 8, (1, 3): -3},
+                                                {(2, 2): Fraction(-9, 2), (0, 4): 5}]),
+    "cusp": lambda: Algebra(2, 5, ideal=[{(2, 0): 3, (0, 3): -1}]),
+    "explicit_quotient": lambda: _explicit_quotient(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_ALGEBRAS))
+def test_whole_relation_rows_match_per_term_loop(name):
+    from nilbloch.forms import WHOLE
+    Aw = WHOLE_ALGEBRAS[name]()
+    assert not Aw.monomial_ideal
+    for n in range(1, Aw.m + 1):
+        blk, ref = form_block(Aw, n, WHOLE), _whole_rows_per_term(Aw, n)
+        assert blk.rows.rows == ref.rows and blk.rows.cols == ref.cols
+        assert ref.rank

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,25 @@ def test_cli_oversized_algebra_exits_two():
                               env=env, capture_output=True, text=True, timeout=10)
         assert proc.returncode == 2, proc.stderr
         assert "above the limit 2000000" in proc.stderr
+
+
+def test_cli_table_and_whole_block_budgets_exit_two(capsys, tmp_path):
+    from math import comb
+    from nilbloch.derham import MAX_TABLE_ROWS
+    from nilbloch.forms import MAX_WHOLE_COORDS
+    spec = tmp_path / "A.json"
+    spec.write_text(json.dumps({"nilpotents": 2, "bound": 4, "params": [
+        {"name": "a", "invertible": False}, {"name": "b", "invertible": True}]}))
+    # m = 8, N = 8: 6435 nilpotent monomials; the first degree over the limit is named
+    whole = next(c for c in (comb(8, n) * 6435 for n in range(9)) if c > MAX_WHOLE_COORDS)
+    for argv, count, limit in [
+            (["--algebra", str(spec), "--param-bound", "300"], 5 * 601 * 301, MAX_TABLE_ROWS),
+            (["--m", "8", "--N", "8", "--relative", "explicit:t1"], whole, MAX_WHOLE_COORDS)]:
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["cohom"] + argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and not out
+        assert f"has {count} " in err and f"above the limit {limit}" in err
 
 
 def test_cli_singular_poly_degree_budget():
