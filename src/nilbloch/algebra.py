@@ -13,6 +13,7 @@ exponents may be negative only on parameters declared invertible.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
 from .linalg import RowSpace, vec_add, vec_iadd
@@ -236,9 +237,11 @@ class Algebra:
                             for p in params)
         self.n_params = len(self.params)
         self.nil_names = ("t",) if self.m == 1 else tuple(f"t{i+1}" for i in range(self.m))
+        # with one nilpotent, t1 is another name for t
+        self.nil_index = {"t": 0, "t1": 0} if self.m == 1 else {
+            n: i for i, n in enumerate(self.nil_names)}
         self._check_names()
         self.param_index = {p.name: i for i, p in enumerate(self.params)}
-        self.nil_index = {n: i for i, n in enumerate(self.nil_names)}
 
         gens = [g for g in map(poly_terms, ideal) if g]     # zero generators add nothing
         for g in gens:
@@ -261,8 +264,6 @@ class Algebra:
                     if not any(_divides(e, mono) for e in self.mono_gens):
                         raise ValueError("degree-N monomials do not all vanish")
             self._ring_rows = None
-            self.nil_basis = tuple(e for e in monomials_below(self.m, self.N)
-                                   if not self._mono_dead(e))
         else:
             self.mono_gens = ()
             rows = _ideal_rows(self.m, gens, self.N)
@@ -272,18 +273,29 @@ class Algebra:
                     if not wide.contains({mono: Fraction(1)}):
                         raise ValueError("degree-N monomials do not all vanish")
             self._ring_rows = rows
+            # the rows list every monomial anyway, so the basis comes with them
             self.nil_basis = tuple(e for e in monomials_below(self.m, self.N)
                                    if e not in rows.rows)
         self.ideal_gens = tuple(dict(g) for g in gens)
-        self._basis_by_degree = {}
-        for e in self.nil_basis:
-            self._basis_by_degree.setdefault(sum(e), []).append(e)
         self._form_cache = {}
+
+    @cached_property
+    def nil_basis(self):
+        """The surviving nilpotent monomials, listed on first use: counted tables
+        never read them, so a monomial-ideal algebra costs no listing."""
+        return tuple(e for e in monomials_below(self.m, self.N) if not self._mono_dead(e))
+
+    @cached_property
+    def _basis_by_degree(self):
+        out = {}
+        for e in self.nil_basis:
+            out.setdefault(sum(e), []).append(e)
+        return out
 
     # -- construction helpers -------------------------------------------------
 
     def _check_names(self):
-        seen = set(self.nil_names)
+        seen = set(self.nil_index)
         for p in self.params:
             name = p.name
             if not name.isidentifier() or name in _RESERVED:

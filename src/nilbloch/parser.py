@@ -46,6 +46,11 @@ _OPS = set("+-*^(){},/∧")
 
 MAX_DEPTH = 100
 
+# base ** e multiplies the bit length of the base's constant coefficients by |e|;
+# a power past this many bits is refused before it is formed (printing refuses
+# integers past 4,300 digits, about 14,300 bits, anyway)
+MAX_POWER_BITS = 100_000
+
 
 def tokenize(text):
     toks = []
@@ -265,6 +270,11 @@ def to_elem(ast, algebra):
         e = ast[2]
         if e < 0 and not base.is_unit():
             raise ValueError("negative exponent on non-invertible variable")
+        bits = max((max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+                    for c in base.augmentation().terms.values() if abs(c) != 1), default=0)
+        if abs(e) * bits > MAX_POWER_BITS:
+            raise ValueError(f"power {e} of a {bits}-bit coefficient would take "
+                             f"{abs(e) * bits} bits, above the limit {MAX_POWER_BITS}")
         return base ** e
     if kind == "call":
         arg = to_elem(ast[2], algebra)
@@ -335,40 +345,29 @@ def parse_form(text, algebra):
     return Form(algebra, degree or 0, terms)
 
 
-def _poly_mul(p, q, bound=None):
-    """Product of two {texp: Fraction} polynomials, without the terms of total
-    degree >= bound when a bound is given."""
-    out = {}
-    for k1, c1 in p.items():
-        shifted = {}
-        for k2, c in q.items():
-            e = tuple(a + b for a, b in zip(k1, k2))
-            if bound is None or sum(e) < bound:
-                shifted[e] = c
-        vec_iadd(out, shifted, c1)
-    return out
+def _walk(ast, checks):
+    """Refuse exp/log calls in a polynomial AST, and list in evaluation order
+    what to_elem alone would not refuse there: ("var", name) for each variable,
+    ("pow", e) for a negative power, before its base, and ("inv", argument)
+    for a division, after its argument."""
+    kind = ast[0]
+    if kind == "var":
+        checks.append(("var", ast[1]))
+    elif kind == "call":
+        raise ValueError("exp/log not allowed in polynomials")
+    elif kind == "pow" and ast[2] < 0:
+        checks.append(("pow", ast[2]))
+    for sub in ast[1:]:
+        for child in sub if isinstance(sub, list) else [sub]:
+            if isinstance(child, tuple):
+                _walk(child, checks)
+    if kind == "inv":
+        checks.append(("inv", ast[1]))
 
 
-def _variables(ast):
-    """Variable names of a polynomial AST; exp/log calls are refused."""
-    names = set()
-
-    def walk(node):
-        if node[0] == "var":
-            names.add(node[1])
-        elif node[0] == "call":
-            raise ValueError("exp/log not allowed in polynomials")
-        for sub in node[1:]:
-            for child in sub if isinstance(sub, list) else [sub]:
-                if isinstance(child, tuple):
-                    walk(child)
-
-    walk(ast)
-    return names
-
-
-def _nilpotent_count(names):
-    """m read off variable names: 1 for t alone, else the largest i of the t_i."""
+def _nilpotent_count(checks):
+    """m read off the variable names of _walk: 1 for t alone, else the largest i of the t_i."""
+    names = {x for kind, x in checks if kind == "var"}
     if names == {"t"}:
         return 1
     idx = []
@@ -383,86 +382,56 @@ def _nilpotent_count(names):
 
 def nilpotent_count(text):
     """The number m of nilpotent variables that a polynomial's names call for."""
-    return _nilpotent_count(_variables(parse_expr(text)))
+    checks = []
+    _walk(parse_expr(text), checks)
+    return _nilpotent_count(checks)
+
+
+def _degree(node):
+    kind = node[0]
+    if kind == "sum":
+        return max(map(_degree, node[1]))
+    if kind == "prod":
+        return sum(map(_degree, node[1]))
+    if kind == "pow":
+        return max(node[2], 1) * _degree(node[1])
+    if kind in ("neg", "inv", "call"):
+        return _degree(node[-1])
+    return int(kind == "var")
 
 
 def degree_bound(text):
     """A bound, read from the AST, on the degree of every polynomial parsing text forms:
     a sum takes the max, a product the sum, a power e times its base (the base alone
     for e < 1, which is still expanded), a negation or quotient its argument's."""
-    def deg(node):
-        kind = node[0]
-        if kind == "sum":
-            return max(map(deg, node[1]))
-        if kind == "prod":
-            return sum(map(deg, node[1]))
-        if kind == "pow":
-            return max(node[2], 1) * deg(node[1])
-        if kind in ("neg", "inv", "call"):
-            return deg(node[-1])
-        return int(kind == "var")
-
-    return deg(parse_expr(text))
+    return _degree(parse_expr(text))
 
 
 def polynomial_terms(text, m=None, bound=None):
     """Parse a polynomial in the nilpotent variables into {texp: Fraction}.
 
-    With a bound, terms of total degree >= bound are dropped, inside every
-    product and power as it is formed; such terms lie in (t_1..t_m)^bound,
-    which an algebra truncated at that bound kills anyway, and keeping them
-    would let a power like (1+t)^200000 expand in full.
+    The text is evaluated by to_elem in Algebra(m, bound), which drops the
+    terms of total degree >= bound inside every product and power as it is
+    formed: they lie in (t_1..t_m)^bound, which an algebra truncated at that
+    bound kills anyway, and keeping them would let a power like (1+t)^200000
+    expand in full. Without a bound, degree_bound + 1 drops nothing. A divisor
+    must evaluate in that algebra to a nonzero constant.
     """
     ast = parse_expr(text)
-    names = _variables(ast)
+    checks = []
+    _walk(ast, checks)
     if m is None:
-        m = _nilpotent_count(names)
-    index = {"t": 0} if m == 1 else {}
-    for i in range(m):
-        index[f"t{i + 1}"] = i
-
-    def ev(node):
-        kind = node[0]
-        if kind == "num":
-            return {(0,) * m: node[1]} if node[1] else {}
-        if kind == "var":
-            if node[1] not in index:
-                raise ValueError(f"unknown variable {node[1]!r}")
-            e = [0] * m
-            e[index[node[1]]] = 1
-            return {tuple(e): Fraction(1)}
-        if kind == "neg":
-            return {k: -c for k, c in ev(node[1]).items()}
-        if kind == "sum":
-            out = {}
-            for sub in node[1]:
-                vec_iadd(out, ev(sub))
-            return out
-        if kind == "prod":
-            out = ev(node[1][0])
-            for sub in node[1][1:]:
-                out = _poly_mul(out, ev(sub), bound)
-            return out
-        if kind == "inv":
-            den = ev(node[1])
-            if set(den) != {(0,) * m}:
-                raise ValueError("division by non-unit")
-            return {(0,) * m: 1 / den[(0,) * m]}
+        m = _nilpotent_count(checks)
+    algebra = Algebra(m, _degree(ast) + 1 if bound is None else bound)
+    one = ((), (0,) * m)
+    for kind, x in checks:
+        if kind == "var" and x not in algebra.nil_index:
+            raise ValueError(f"unknown variable {x!r}")
         if kind == "pow":
-            if node[2] < 0:
-                raise ValueError("negative exponent on non-invertible variable")
-            out, base, e = {(0,) * m: Fraction(1)}, ev(node[1]), node[2]
-            while e:               # square-and-multiply
-                if e & 1:
-                    out = _poly_mul(out, base, bound)
-                e >>= 1
-                if e:
-                    base = _poly_mul(base, base, bound)
-            return out
-        raise ValueError(f"unknown AST node {kind!r}")
-
-    out = ev(ast)
-    return out if bound is None else {e: c for e, c in out.items() if sum(e) < bound}
+            raise ValueError("negative exponent on non-invertible variable")
+        if kind == "inv" and set(to_elem(x, algebra).terms) != {one}:
+            raise ValueError("division by non-unit")
+    return {texp: c for (_, texp), c in to_elem(ast, algebra).terms.items()}
 
 
 def algebra_to_json(algebra):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilbloch.algebra import Algebra
+from nilbloch.parser import algebra_from_json
 from nilbloch.forms import (WHOLE, Form, d, d_elem, euler_homotopy, form_block,
                             form_str, zero_form)
 from nilbloch.derham import (EXPLICIT, FULL, POWER, _Relative, _pihat_box,
@@ -290,8 +291,12 @@ def test_graded_cohomology_builds_no_class_rows():
         rep = cohomology(A, FULL, param_bound=1 if A.n_params else None)
         assert rep.all_zero()
         assert relative(A, FULL)._class == {}
+        assert "nil_basis" not in vars(A)   # no monomial listed
         if A.n_params:
             assert A._form_cache == {}      # counted from the twin's blocks
+            assert "nil_basis" not in vars(A._twin)
+    big = algebra_from_json({"nilpotents": 8, "bound": 8, "ideal": ["t1*t2^3"]})
+    assert "nil_basis" not in vars(big)
 
 
 @pytest.mark.parametrize("A, rel", [
@@ -302,6 +307,7 @@ def test_graded_cohomology_builds_no_class_rows():
 def test_graded_cohomology_builds_no_form_block(A, rel):
     assert cohomology(A, rel).all_zero()
     assert A._form_cache == {}          # dims counted per fine multidegree
+    assert "nil_basis" not in vars(A)
 
 
 @pytest.mark.parametrize("A, rel", [

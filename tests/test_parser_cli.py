@@ -1,17 +1,21 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilbloch import cli
 from nilbloch.algebra import Algebra
 from nilbloch.forms import d, form_of_element, form_str
 from nilbloch.ksymbols import bloch, dlog_symbol
-from nilbloch.parser import (MAX_DEPTH, algebra_from_json, algebra_to_json,
+from nilbloch.parser import (MAX_DEPTH, MAX_POWER_BITS, algebra_from_json, algebra_to_json,
                              degree_bound, parse_element, parse_form, parse_symbol_sum,
                              polynomial_terms)
 
@@ -19,12 +23,20 @@ R3 = Algebra(1, 3)
 PAR = Algebra(1, 3, params=[("a", False), ("b", True)])
 
 
-def test_polynomial_terms_infers_width():
+def test_polynomial_terms_infers_width(capsys):
     assert polynomial_terms("t1^4+t1^2*t2^3+t2^5") == {
         (4, 0): Fraction(1), (2, 3): Fraction(1), (0, 5): Fraction(1)}
     assert polynomial_terms("t^3 - 2*t") == {(3,): Fraction(1),
                                              (1,): Fraction(-2)}
     assert polynomial_terms("t2^2", m=3) == {(0, 2, 0): Fraction(1)}
+    # with one nilpotent, t1 names t
+    assert polynomial_terms("t1^2") == {(2,): 1}
+    assert polynomial_terms("t^2+t1", 1, 4) == {(2,): 1, (1,): 1}
+    code, out, _ = run_cli(capsys, ["cohom", "--m", "1", "--N", "4", "--ideal", "t1^3"])
+    assert code == 0 and json.loads(out)["algebra"]["ideal"] == ["t^3"]
+    # a constant divisor of the truncated algebra is a unit
+    assert polynomial_terms("1/(t-t+1)") == {(0,): 1}
+    assert polynomial_terms("3/2*t") == {(1,): Fraction(3, 2)}
 
 
 def test_polynomial_terms_rejects():
@@ -34,6 +46,14 @@ def test_polynomial_terms_rejects():
         polynomial_terms("t3^2", m=2)
     with pytest.raises(ValueError, match="no nilpotent variables"):
         polynomial_terms("3")
+    for text, bound in [("1/(1+t)", None), ("1/t^3", 3)]:
+        with pytest.raises(ValueError, match="division by non-unit"):
+            polynomial_terms(text, 1, bound)
+    for text in ("(1+t)^-1", "2^-1*t"):
+        with pytest.raises(ValueError, match="negative exponent"):
+            polynomial_terms(text)
+    with pytest.raises(ValueError, match="duplicate variable name 't1'"):
+        Algebra(1, 3, params=[("t1", False)])
 
 
 def test_parse_element_basics():
@@ -310,6 +330,16 @@ def test_polynomial_terms_bound_drops_high_degrees():
                 e: c for e, c in full.items() if sum(e) < bound}, (text, bound)
 
 
+def test_huge_numeric_powers_exit_two(capsys):
+    # refused from the exponent and the coefficient's bit length, before the power is formed
+    for argv in (["cohom", "--m", "1", "--N", "3", "--ideal", "2^400000000*t"],
+                 ["bloch", "--m", "1", "--N", "3", "--symbol", "{2^99999999, 1+t}"],
+                 ["singular", "--poly", "2^99999999*t1^2+t2^2"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and not out and f"above the limit {MAX_POWER_BITS}" in err, argv
+    assert polynomial_terms("(3/2)^40*t") == {(1,): Fraction(3, 2) ** 40}
+
+
 def test_cli_long_symbol_sum_returns_quickly(capsys):
     import nilbloch
     env = dict(os.environ)
@@ -504,3 +534,43 @@ def test_cli_sequence_degree_above_m_plus_one_exits_two(capsys):
     assert code == 2 and not out and "every term is 0" in err
     code, out, _ = run_cli(capsys, ["verify-sequence", "--N", "4", "--degree", "2"])
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+# -- fuzzed text input --------------------------------------------------------------
+
+_ATOM = st.sampled_from(["t", "t1", "t2", "t3", "a", "0", "1", "2", "3/2"])
+_BINARY = st.tuples(st.sampled_from("+-*/"), _ATOM)
+_POLY = st.recursive(
+    _ATOM,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.lists(_BINARY, min_size=1, max_size=3)).map(
+            lambda p: p[0] + "".join(op + atom for op, atom in p[1])),
+        st.tuples(inner, st.sampled_from(["0", "2", "3", "-1"])).map("({0[0]})^{0[1]}".format),
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("({0[0]}){0[1]}({0[2]})".format),
+        st.tuples(st.sampled_from(["exp", "log"]), inner).map("{0[0]}({0[1]})".format)),
+    max_leaves=8)
+# a third of the texts get one token inserted anywhere, spaced so it joins no name
+_TOKEN = st.one_of(st.just(""), st.just(""), st.sampled_from(
+    ["t", "t2", "a", "7", "+", "-", "*", "/", "^", "(", ")", "exp("]))
+
+
+@st.composite
+def _fuzzed_poly(draw):
+    text, token = draw(_POLY), draw(_TOKEN)
+    at = draw(st.integers(0, len(text)))
+    return f"{text[:at]} {token} {text[at:]}" if token else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["ideal", "explicit", "singular", "jacobian", "bloch"]),
+       _fuzzed_poly(), _fuzzed_poly(), st.integers(1, 3), st.integers(1, 5))
+def test_fuzzed_text_inputs_never_crash(command, text, other, m, N):
+    # "--flag=value", so a text that begins with "-" stays a value
+    argv = {"ideal": ["cohom", f"--m={m}", f"--N={N}", f"--ideal={text}"],
+            "explicit": ["cohom", f"--m={m}", f"--N={N}", f"--relative=explicit:{text}"],
+            "singular": ["singular", f"--poly={text}", "--N-max=12"],
+            "jacobian": ["verify-sequence", f"--jacobian-of={text}", f"--bound={N}"],
+            "bloch": ["bloch", f"--m={m}", f"--N={N}", f"--symbol={{{text}, {other}}}"]}[command]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
