@@ -14,9 +14,10 @@ exponents may be negative only on parameters declared invertible.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
-from .linalg import RowSpace, vec_add, vec_iadd
+from .linalg import RowSpace, nullspace, vec_add, vec_iadd
 
 _RESERVED = {"exp", "log"}
 
@@ -286,10 +287,27 @@ class Algebra:
         return tuple(e for e in monomials_below(self.m, self.N) if not self._mono_dead(e))
 
     @cached_property
-    def _basis_by_degree(self):
+    def weight(self):
+        """Sum of the reduced integer basis of {w : w.(a - a') = 0, a, a' exponents of one
+        generator}: all ones for a monomial ideal; lazy, as counted tables never grade."""
+        diffs = [[x - y for x, y in zip(a, next(iter(g)))] for g in self.ideal_gens for a in g]
+        w = [0] * self.m
+        for vec in nullspace([{j: d[v] for j, d in enumerate(diffs) if d[v]}
+                              for v in range(self.m)]):
+            scale = lcm(*(c.denominator for c in vec.values()))    # an entry is 1: primitive
+            for v, c in vec.items():
+                w[v] += int(c * scale)
+        return tuple(w)
+
+    def grade(self, texp, word=()):
+        """weight . alpha, alpha = texp + 1_(nilpotent indices of a wedge word)."""
+        return sum(map(mul, self.weight, texp)) + sum(self.weight[v] for v in word if v < self.m)
+
+    @cached_property
+    def _basis_by_grade(self):
         out = {}
         for e in self.nil_basis:
-            out.setdefault(sum(e), []).append(e)
+            out.setdefault(self.grade(e), []).append(e)
         return out
 
     # -- construction helpers -------------------------------------------------

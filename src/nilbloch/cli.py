@@ -194,6 +194,7 @@ def _cmd_selftest(args):
 
 
 _NONNEGATIVE = ("cutoff", "param_bound", "count", "max_degree", "N_max", "p", "degree")
+_TEXT_FLAGS = ("--ideal", "--relative", "--symbol", "--poly", "--jacobian-of")
 
 
 def main(argv=None):
@@ -268,6 +269,10 @@ def main(argv=None):
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.set_defaults(func=_cmd_selftest)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):   # "--ideal -t" as "--ideal=-t", so -t is no option
+        if argv[i - 1] in _TEXT_FLAGS and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = ap.parse_args(argv)
     t0 = time.perf_counter()
     try:

@@ -8,16 +8,15 @@ presenting both form modules and solving for the kernel (parameter-free).
 
 Every spec is presented one way: as a direct sum of blocks that d
 preserves, with quotient classes mod d, exactness questions and ranks
-solved block by block. In graded (monomial-ideal) mode FULL and POWER(k)
-are exactly the spans of the internal-degree >= 1 (resp. >= k)
-coordinates, and the blocks are the (internal degree, parameter
-multidegree) pairs (BlockedRelative). EXPLICIT and the non-graded FULL
-case are the same machinery with one WHOLE block (WholeRelative). A
-degree cutoff, graded mode only, discards the coordinates of internal
-degree above the cutoff before solving; certificates re-verify exactly
-against what was kept.
+solved block by block. FULL and POWER(k) span the coordinates of internal
+degree >= 1 (resp. >= k) in the weight blocks (w . alpha, pihat) of forms
+(BlockedRelative). EXPLICIT has one class space per degree (WholeRelative):
+its kernel is homogeneous only for a weight both ideals respect. A witness
+comes from the first failing block in split order (forms.split_blocks). A
+degree cutoff, monomial ideals only, discards the coordinates of internal
+degree above the cutoff; certificates re-verify against what was kept.
 
-Graded ranks are counted, not solved: the Euler contraction h
+Monomial-ideal ranks are counted, not solved: the Euler contraction h
 (forms.euler_homotopy) has dh + hd = i on block (i, pihat), so over Q every
 relative block (i >= k >= 1) is acyclic and the rank of d into degree n is
 the alternating sum of the block dimensions below n, memoized as rank(n) =
@@ -42,7 +41,7 @@ from math import comb, prod
 from .linalg import RowSpace, independent, nullspace, vec_dot, vec_iadd
 from .algebra import Algebra, RingMap, poly_terms
 from . import forms as fm
-from .forms import Form, WHOLE, form_block, block_key, coord_sort_key
+from .forms import Form, form_block, coord_sort_key, internal_degree
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,6 @@ def EXPLICIT(gens):
                                                for g in gens))
 
 
-def _zero_pihat(A):
-    return (0,) * A.n_params
-
-
 def _lift(combo, vecs):
     """sum of c * vecs[idx] over the (idx, c) pairs of combo."""
     out = {}
@@ -93,10 +88,12 @@ class _Relative:
 
     d maps block (n-1, key) into block (n, key), so the classes mod d of a
     block are solved against the d-images of that block's relative
-    (n-1)-basis alone. A subclass supplies the block layout (graded,
-    block_keys), the relative basis of a block as tags (_tags) and the
-    vector of each tag (_vector), and membership (is_relative).
+    (n-1)-basis alone. A subclass supplies the block layout (block_keys,
+    _split), the relative basis of a block as tags (_tags) and the vector
+    of each tag (_vector), membership (is_relative) and counted dims (counted).
     """
+
+    counted = False
 
     def __init__(self, algebra, rel):
         self.A = algebra
@@ -127,20 +124,19 @@ class _Relative:
     def global_class(self, n):
         """All class rows into degree n merged into one space."""
         rows = RowSpace(order=coord_sort_key(self.A))
-        for key in self.block_keys(n):
-            for row in self.class_rows(n, key).rows.values():
-                rows.insert(row)
+        for key in self.block_keys(n):     # blocks share no coordinate
+            rows.adopt(self.class_rows(n, key), lambda k: k)
         return rows
 
     def truncate(self, form, cutoff):
-        if not self.graded:
+        if not self.counted:
             raise ValueError("cutoff requires graded mode")
         keep = {coord: c for coord, c in form.terms.items()
-                if block_key(self.A, *coord)[0] <= cutoff}
+                if internal_degree(self.A, coord) <= cutoff}
         return Form(self.A, form.degree, keep, canonical=True)
 
     def _split(self, form):
-        return fm.split_blocks(self.A, form.terms) if self.graded else {WHOLE: form.terms}
+        return fm.split_blocks(self.A, form.terms)
 
     def reduce_class(self, form):
         out = {}
@@ -163,33 +159,37 @@ class _Relative:
 
 
 class BlockedRelative(_Relative):
-    """FULL/POWER in graded mode: the coordinates of internal degree >= k."""
-
-    graded = True
+    """FULL and POWER: the coordinates of internal degree >= k, blocked by (w . alpha, pihat)."""
 
     def __init__(self, algebra, rel):
         super().__init__(algebra, rel)
         self.k = 1 if rel.kind == "full" else rel.k
-        self._dims = {}
-        self._ranks = {}
+        self.counted = algebra.monomial_ideal
+        self._dims, self._ranks = {}, {}
 
     def _pihats(self, pihats):
         if pihats is None:
             if self.A.n_params:
                 raise ValueError("parametric mode needs explicit multidegree blocks")
-            return [_zero_pihat(self.A)]
+            return [(0,) * self.A.n_params]
         return pihats
 
     def block_keys(self, n, pihats=None):
+        if not self.counted:
+            return [(g, ()) for g in fm.block_grades(self.A, n)]
         top = self.A.N + min(n, self.A.m) if n >= 0 else self.k
         return [(i, p) for p in self._pihats(pihats) for i in range(self.k, top)]
 
     def dim(self, n, pihats=None):
-        """Counted by forms.graded_dims (of the twin when parametric); builds no block."""
+        """Monomial ideal: counted by forms.graded_dims (of the twin when parametric)."""
+        if not self.counted:
+            return super().dim(n, pihats)
         return sum(self._dim(n, self._free(p)) for p in self._pihats(pihats))
 
     def rank(self, n, pihats=None):
-        """Counted, not solved: every relative block (i >= k >= 1) is acyclic."""
+        """Monomial ideal: counted, as every relative block (i >= k >= 1) is acyclic."""
+        if not self.counted:
+            return super().rank(n, pihats)
         return sum(self._rank(n, self._free(p)) for p in self._pihats(pihats))
 
     def _free(self, pihat):
@@ -222,35 +222,32 @@ class BlockedRelative(_Relative):
         return self._ranks.get((n, f), 0)
 
     def _tags(self, n, key):
-        return form_block(self.A, n, key).basis if key[0] >= self.k else ()
+        return [c for c in form_block(self.A, n, key).basis
+                if internal_degree(self.A, c) >= self.k]
 
     def _vector(self, n, coord):
         return {coord: Fraction(1)}
 
     def is_relative(self, form):
-        return all(block_key(self.A, *coord)[0] >= self.k for coord in form.terms)
+        return all(internal_degree(self.A, coord) >= self.k for coord in form.terms)
 
 
 class WholeRelative(_Relative):
-    """One WHOLE block: EXPLICIT kernels and the non-graded FULL case."""
-
-    graded = False
+    """EXPLICIT: the kernel of restriction to R/I, one class space (key None) per degree."""
 
     def __init__(self, algebra, rel):
         if algebra.n_params:
             raise ValueError("invalid relative spec")
         super().__init__(algebra, rel)
-        self._vectors = {}
-        self._member = {}
-        if rel.kind == "explicit":
-            extra = [dict(g) for g in rel.gens]
-            self.quotient = Algebra(algebra.m, algebra.N,
-                                    ideal=list(algebra.ideal_gens) + extra)
-        else:
-            self.quotient = None
+        self._vectors, self._member = {}, {}
+        self.quotient = Algebra(algebra.m, algebra.N,
+                                ideal=list(algebra.ideal_gens) + [dict(g) for g in rel.gens])
 
     def block_keys(self, n, pihats=None):
-        return [WHOLE]
+        return [None]
+
+    def _split(self, form):
+        return {None: form.terms}
 
     def _tags(self, n, key):
         return range(len(self._basis(n)))
@@ -259,22 +256,17 @@ class WholeRelative(_Relative):
         return self._basis(n)[idx]
 
     def _basis(self, n):
-        """Relative n-vectors; for EXPLICIT, the kernel of restriction to R/I."""
+        """The kernel of restriction to R/I in degree n, over the sorted basis."""
         if n not in self._vectors:
-            A = self.A
-            keys = ([(i, _zero_pihat(A)) for i in range(A.N + min(n, A.m))]
-                    if A.monomial_ideal else [WHOLE])
+            A, Aq, coords = self.A, self.quotient, []
             if n >= 0:
                 fm.whole_budget(A, n)
-            coords = [c for key in keys for c in form_block(A, n, key).basis] if n >= 0 else []
-            if self.rel.kind == "full":
-                vecs = [{c: Fraction(1)} for c in coords if n or sum(c[0][1]) >= 1]
-            else:
-                Aq = self.quotient
-                images = [Form(Aq, n, {c: Fraction(1)}).terms for c in coords]
-                kern = nullspace(images, order=coord_sort_key(Aq))
-                vecs = [{coords[idx]: c for idx, c in combo.items()} for combo in kern]
-            self._vectors[n] = vecs
+                coords = sorted((c for g in fm.block_grades(A, n)
+                                 for c in form_block(A, n, (g, ())).basis),
+                                key=coord_sort_key(A))
+            images = [Form(Aq, n, {c: Fraction(1)}).terms for c in coords]
+            kern = nullspace(images, order=coord_sort_key(Aq))
+            self._vectors[n] = [{coords[idx]: c for idx, c in combo.items()} for combo in kern]
         return self._vectors[n]
 
     def is_relative(self, form):
@@ -290,23 +282,12 @@ class WholeRelative(_Relative):
 
 
 def relative(algebra, rel):
-    cache = getattr(algebra, "_rel_cache", None)
-    if cache is None:
-        cache = algebra._rel_cache = {}
+    cache = algebra.__dict__.setdefault("_rel_cache", {})
     if rel not in cache:
-        if rel.kind == "power":
-            if algebra.m != 1 or not algebra.monomial_ideal or rel.k > algebra.N:
-                raise ValueError("invalid relative spec")
-            cache[rel] = BlockedRelative(algebra, rel)
-        elif rel.kind == "full":
-            if algebra.monomial_ideal:
-                cache[rel] = BlockedRelative(algebra, rel)
-            else:
-                cache[rel] = WholeRelative(algebra, rel)
-        elif rel.kind == "explicit":
-            cache[rel] = WholeRelative(algebra, rel)
-        else:
+        if rel.kind not in ("full", "power", "explicit") or rel.kind == "power" and (
+                algebra.m != 1 or not algebra.monomial_ideal or rel.k > algebra.N):
             raise ValueError("invalid relative spec")
+        cache[rel] = (WholeRelative if rel.kind == "explicit" else BlockedRelative)(algebra, rel)
     return cache[rel]
 
 
@@ -403,7 +384,7 @@ def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
     if count > MAX_TABLE_ROWS:
         raise ValueError(f"the table has {count} rows, above the limit {MAX_TABLE_ROWS}")
     pres = relative(algebra, rel)
-    for n in range(n_max + 1) if not pres.graded else ():
+    for n in range(n_max + 1) if not pres.counted else ():
         fm.whole_budget(algebra, n)     # before any degree is solved
     pihats = _pihat_box(algebra, b)   # [()] without parameters
     rows = []

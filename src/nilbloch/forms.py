@@ -7,16 +7,18 @@ m+j means d of the j-th parameter). Coordinates are canonical: coefficient
 monomials are normal-form basis monomials and every form is reduced against
 the d(ideal)-relation rows of its presentation.
 
-With a monomial ideal both the relations and the exterior derivative
-preserve the pair (internal degree, parameter multidegree), where dt_i
-counts 1 toward internal degree and da_j counts e_j toward the parameter
-multidegree. The module exploits this: presentations are built and cached
-one block at a time, which keeps parametric algebras finite work. Without a
-monomial ideal (parameter-free only) there is a single whole-space block.
+Every algebra is presented in blocks. The coordinate t^beta dt_I ^ da_D
+has alpha = beta + 1_I, and the weight w of the algebra (Algebra.weight)
+makes J + m^N spanned by w-homogeneous f, so the relation rows
+d(f) ^ dt_T and d preserve the block key (w . alpha, pihat), pihat the
+parameter multidegree (da_j counts e_j). Blocks are built and cached one
+at a time. A monomial ideal has w = (1, ..., 1): its key is (internal
+degree, pihat). The gap curve t1^4+t1^2 t2^3+t2^5 has w = 0, one block
+per degree.
 
 Parameters are passive. With S = Q[a, b^±1, ...], Omega of S[t]/J is
 Omega_S tensor Omega of its parameter-free twin Q[t]/J, so a relation row
-d(g) u dT ^ da_D keeps its parameter exponent and its word D. Only twin
+d(f) ^ dT ^ da_D keeps its parameter exponent and its word D. Only twin
 blocks are eliminated; a parametric block (n, (i, pihat)) is the twin
 blocks (n - |D|, (i, ())) relabelled, one for each allowed D.
 
@@ -46,14 +48,14 @@ FormBlock stays the only source of bases and canonical coordinates.
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
+from operator import mul
 
 from .linalg import RowSpace, independent, vec_add, vec_iadd, vec_scale
 from .algebra import AlgElem, Algebra, _divides, monomials_below, monomials_of_degree
 
-WHOLE = "whole"
-# a degree presented as one WHOLE block is eliminated at once (whole_budget)
+# the most coordinates of one degree over a non-monomial ideal or in an EXPLICIT kernel
 MAX_WHOLE_COORDS = 450_000
 
 
@@ -74,14 +76,31 @@ def merge_words(w1, w2):
 
 
 def block_key(algebra, mono, word):
-    """(internal degree, parameter multidegree) of a coordinate."""
+    """(w . alpha, parameter multidegree) of a coordinate, alpha = texp + 1_(nilpotent word)."""
     pexp, texp = mono
-    i = sum(texp) + sum(1 for w in word if w < algebra.m)
+    m, weight = algebra.m, algebra.weight
+    i = sum(map(mul, weight, texp))     # Algebra.grade inlined: every canonical form splits
     pihat = list(pexp)
-    for w in word:
-        if w >= algebra.m:
-            pihat[w - algebra.m] += 1
+    for v in word:
+        if v < m:
+            i += weight[v]
+        else:
+            pihat[v - m] += 1
     return (i, tuple(pihat))
+
+
+def internal_degree(algebra, coord):
+    """|alpha|: the nilpotent degree of the coefficient plus the dt's of the word."""
+    (_, texp), word = coord
+    return sum(texp) + sum(1 for v in word if v < algebra.m)
+
+
+def block_grades(algebra, n):
+    """The w . alpha of the degree-n coordinates of a parameter-free algebra, ascending."""
+    if n < 0:
+        return []
+    return sorted({g + algebra.grade((), T) for T in combinations(range(algebra.m), n)
+                   for g in algebra._basis_by_grade})
 
 
 def coord_sort_key(algebra):
@@ -148,69 +167,59 @@ class FormBlock:
         A = self.algebra
         if self.n < 0:
             return []
-        if self.key == WHOLE:
+        if not A.monomial_ideal:
             whole_budget(A, self.n)
-        # graded: the word dT has n slots, so texp has internal degree i - n
-        texps = A.nil_basis if self.key == WHOLE else A._basis_by_degree.get(
-            self.key[0] - self.n, [])
-        return [(((), texp), T) for T in combinations(range(A.m), self.n) for texp in texps]
+        # the word dT has weight w . 1_T, so texp has grade key - w . 1_T
+        return [(((), texp), T) for T in combinations(range(A.m), self.n)
+                for texp in A._basis_by_grade.get(self.key[0] - A.grade((), T), ())]
 
     def _relation_rows(self):
+        """d(f) ^ dt_T for each (n-1)-subset T and each f of grade key - w . 1_T."""
         if self.n <= 0:
             return
         A = self.algebra
-        gens = _form_gens(A)
-        if self.key == WHOLE:
-            for g in gens:
-                for u in A.nil_basis:
-                    if sum(u) + min(map(sum, g)) > A.N:
-                        continue        # every term of u d(g) has degree >= N
-                    for W in combinations(range(A.m), self.n - 1):
-                        by_word = {}    # the word fixes v, so no raw monomial repeats
-                        for a, ca in g.items():
-                            for v in range(A.m):
-                                if not a[v] or v in W:
-                                    continue
-                                raw = tuple(x + y for x, y in zip(u, a))
-                                raw = raw[:v] + (raw[v] - 1,) + raw[v + 1:]
-                                if sum(raw) >= A.N:
-                                    continue
-                                sign, word = wedge_insert(v, W)
-                                by_word.setdefault(word, {})[((), raw)] = ca * a[v] * sign
-                        row = {(mono, word): c for word, poly in by_word.items()
-                               for mono, c in A.normal_form(poly).items()}
-                        if row:
-                            yield row
-            return
-        # graded: a*u*dT with a a monomial generator; d(a) puts one dt_v into
-        # the word, so each slot T and its wedge moves are block-local
-        i = self.key[0]
-        slots = [[(v,) + wedge_insert(v, T) for v in range(A.m) if v not in T]
-                 for T in combinations(range(A.m), self.n - 1)]
-        for g in gens:
-            a = next(iter(g))
-            for moves in slots:
-                for u in A._basis_by_degree.get(i - sum(a) - (self.n - 1), []):
-                    row = {}
-                    ua = tuple(x + y for x, y in zip(u, a))
-                    for v, sign, new in moves:
-                        if not a[v]:
-                            continue
-                        mono = ua[:v] + (ua[v] - 1,) + ua[v + 1:]
-                        if A._mono_dead(mono):
-                            continue
-                        # distinct v give distinct words, so no coord repeats
-                        row[(((), mono), new)] = Fraction(a[v] * sign)
-                    if row:
-                        yield row
+        for T in combinations(range(A.m), self.n - 1):
+            for df in _relation_diffs(A, self.key[0] - A.grade((), T)):
+                row = {}
+                for v, partial in df:
+                    sign, word = wedge_insert(v, T)
+                    if sign:    # distinct v give distinct words, so no coord repeats
+                        row.update(((mono, word), c * sign) for mono, c in partial.items())
+                if row:
+                    yield row
+
+
+def _relation_diffs(algebra, grade):
+    """d(f) for the f of this grade in a w-homogeneous basis of J + m^N, as nonzero
+    partials [(v, {mono: c})] in normal form; cached. Monomial ideal: the border
+    monomials (dead, with an alive t^(e - e_v)); else the reduced ideal rows, which
+    are homogeneous as a graded span's reduced echelon basis is unique, then the
+    degree-N monomials."""
+    A = algebra
+    cache = A.__dict__.setdefault("_relation_diffs", {})
+    if grade not in cache:
+        if A.monomial_ideal:
+            border = {e[:v] + (e[v] + 1,) + e[v + 1:] for v in range(A.m)
+                      for e in A._basis_by_grade.get(grade - A.weight[v], ())}
+            polys = [{e: 1} for e in sorted(border) if A._mono_dead(e)]
+        else:
+            top = ({e: 1} for e in monomials_of_degree(A.m, A.N))
+            polys = [f for f in chain(A._ring_rows.rows.values(), top)
+                     if A.grade(next(iter(f))) == grade]
+        diffs = ([(v, A.normal_form({((), a[:v] + (a[v] - 1,) + a[v + 1:]): c * a[v]
+                                     for a, c in f.items() if a[v]})) for v in range(A.m)]
+                 for f in polys)
+        cache[grade] = [[(v, partial) for v, partial in df if partial] for df in diffs]
+    return cache[grade]
 
 
 def whole_budget(algebra, n):
-    """Refuse degree n >= 0 as one WHOLE block of more than MAX_WHOLE_COORDS coordinates."""
+    """Refuse degree n >= 0 of more than MAX_WHOLE_COORDS coordinates (checked where a
+    non-monomial ideal builds a block or an EXPLICIT kernel, or before such a table)."""
     count = comb(algebra.m, n) * len(algebra.nil_basis)
     if count > MAX_WHOLE_COORDS:
         raise ValueError(f"degree {n} of m = {algebra.m}, N = {algebra.N} has {count} "
-                         f"coordinates in one block, above the limit {MAX_WHOLE_COORDS}")
+                         f"coordinates, above the limit {MAX_WHOLE_COORDS}")
 
 
 def _pexp_for(algebra, pihat, dparams):
@@ -222,19 +231,6 @@ def _pexp_for(algebra, pihat, dparams):
         if e < 0 and not algebra.params[j].invertible:
             return None
     return tuple(pexp)
-
-
-def _form_gens(algebra):
-    """Ideal generators, then every degree-N monomial; built once per algebra."""
-    gens = getattr(algebra, "_relation_gens", None)
-    if gens is None:
-        if algebra.monomial_ideal:
-            gens = [{e: Fraction(1)} for e in algebra.mono_gens]
-        else:
-            gens = list(algebra.ideal_gens)
-        gens.extend({e: Fraction(1)} for e in monomials_of_degree(algebra.m, algebra.N))
-        algebra._relation_gens = gens
-    return gens
 
 
 def param_free_twin(algebra):
@@ -315,9 +311,7 @@ def form_block(algebra, n, key):
 
 
 def split_blocks(algebra, terms):
-    """Terms grouped by block_key, or one WHOLE block without a monomial ideal."""
-    if not algebra.monomial_ideal:
-        return {WHOLE: terms}
+    """Terms grouped by block_key, keys in order of first appearance."""
     blocks = {}
     for coord, c in terms.items():
         blocks.setdefault(block_key(algebra, *coord), {})[coord] = c
@@ -389,7 +383,7 @@ class Form:
     __mul__ = __rmul__
 
     def internal_degrees(self):
-        return sorted({block_key(self.algebra, *coord)[0] for coord in self.terms})
+        return sorted({internal_degree(self.algebra, coord) for coord in self.terms})
 
     def __str__(self):
         return form_str(self)
@@ -495,8 +489,7 @@ def graded_component(form, i):
     A = form.algebra
     if not A.monomial_ideal:
         raise ValueError("graded component requires monomial-ideal mode")
-    keep = {coord: c for coord, c in form.terms.items()
-            if block_key(A, *coord)[0] == i}
+    keep = {coord: c for coord, c in form.terms.items() if internal_degree(A, coord) == i}
     return Form(A, form.degree, keep, canonical=True)
 
 

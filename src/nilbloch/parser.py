@@ -366,9 +366,9 @@ def _walk(ast, checks):
 
 
 def _nilpotent_count(checks):
-    """m read off the variable names of _walk: 1 for t alone, else the largest i of the t_i."""
-    names = {x for kind, x in checks if kind == "var"}
-    if names == {"t"}:
+    """m from the names of _walk, in input order: 1 for t alone, else the largest i of the t_i."""
+    names = list(dict.fromkeys(x for kind, x in checks if kind == "var"))
+    if names == ["t"]:
         return 1
     idx = []
     for name in names:

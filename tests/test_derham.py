@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from nilbloch.algebra import Algebra
 from nilbloch.parser import algebra_from_json
-from nilbloch.forms import (WHOLE, Form, d, d_elem, euler_homotopy, form_block,
+from nilbloch.forms import (Form, d, d_elem, euler_homotopy, form_block,
                             form_str, zero_form)
 from nilbloch.derham import (EXPLICIT, FULL, POWER, _Relative, _pihat_box,
                              check_certificate,
@@ -90,9 +90,25 @@ def test_non_exact_explicit_certificate_roundtrip():
     rep = next(r for r in reps if r.terms)
     cert = is_exact(rep, EXPLICIT(CURVE_JAC))
     assert not cert.exact
-    assert cert.witness_block == WHOLE
+    assert cert.witness_block is None      # EXPLICIT: one class space per degree
     assert check_certificate(cert, rep, EXPLICIT(CURVE_JAC))
     assert not check_certificate(cert, zero_form(A, 1), EXPLICIT(CURVE_JAC))
+
+
+def test_quasi_homogeneous_witness_checks_out():
+    from nilbloch.forms import block_key
+    from nilbloch.ksymbols import bloch
+    from nilbloch.parser import parse_symbol_sum
+    A = algebra_from_json({"nilpotents": 3, "bound": 5, "ideal": ["t1^2+t2^3"]})
+    assert A.weight == (3, 2, 1)
+    rep = bloch(parse_symbol_sum("{1+t1+t3^2, 1+t2+t3}", A)).rep
+    assert rep.terms
+    cert = is_exact(rep, FULL)
+    assert not cert.exact and cert.witness
+    # the functional lives on the first failing weight block
+    assert all(block_key(A, *coord) == cert.witness_block for coord in cert.witness)
+    assert check_certificate(cert, rep, FULL)
+    assert not check_certificate(cert, zero_form(A, 1), FULL)
 
 
 def test_cutoff_drops_high_degrees():

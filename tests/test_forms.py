@@ -301,12 +301,15 @@ def test_fine_dims_memo_is_shared_across_algebras():
 
 
 def _whole_rows_per_term(A, n):
-    """WHOLE relation rows from the unfiltered loop, one normal_form per term."""
+    """Degree-n relation rows from the unfiltered loop u * d(g) ^ dt_W over ideal generators
+    and degree-N monomials g, one normal_form per term."""
     from itertools import combinations
-    from nilbloch.forms import _form_gens, coord_sort_key, wedge_insert
+    from nilbloch.algebra import monomials_of_degree
+    from nilbloch.forms import coord_sort_key, wedge_insert
     from nilbloch.linalg import RowSpace, vec_iadd
     rows = RowSpace(order=coord_sort_key(A))
-    for g in _form_gens(A):
+    gens = list(A.ideal_gens) + [{e: Fraction(1)} for e in monomials_of_degree(A.m, A.N)]
+    for g in gens:
         for u in A.nil_basis:
             for W in combinations(range(A.m), n - 1):
                 row = {}
@@ -333,7 +336,7 @@ def _explicit_quotient():
 
 
 GAP = {(4, 0): Fraction(2), (2, 3): Fraction(-3, 2), (0, 5): Fraction(1)}
-WHOLE_ALGEBRAS = {
+NON_MONOMIAL_ALGEBRAS = {
     "fermat3": lambda: Algebra(2, 5, ideal=[{(3, 0): 2, (0, 3): Fraction(-1, 2)}]),
     "gap_quotient": lambda: Algebra(2, 6, ideal=[GAP]),
     "gap_jacobian": lambda: Algebra(2, 6, ideal=[{(3, 0): 8, (1, 3): -3},
@@ -343,12 +346,46 @@ WHOLE_ALGEBRAS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(WHOLE_ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(NON_MONOMIAL_ALGEBRAS))
 def test_whole_relation_rows_match_per_term_loop(name):
-    from nilbloch.forms import WHOLE
-    Aw = WHOLE_ALGEBRAS[name]()
+    from nilbloch.forms import block_grades, coord_sort_key
+    from nilbloch.linalg import RowSpace
+    Aw = NON_MONOMIAL_ALGEBRAS[name]()
     assert not Aw.monomial_ideal
     for n in range(1, Aw.m + 1):
-        blk, ref = form_block(Aw, n, WHOLE), _whole_rows_per_term(Aw, n)
-        assert blk.rows.rows == ref.rows and blk.rows.cols == ref.cols
+        merged = RowSpace(order=coord_sort_key(Aw))
+        for g in block_grades(Aw, n):
+            merged.adopt(form_block(Aw, n, (g, ())).rows, lambda k: k)
+        ref = _whole_rows_per_term(Aw, n)
+        assert merged.rows == ref.rows and merged.cols == ref.cols
         assert ref.rank
+
+
+def _weight_block_algebras():
+    return [Algebra(3, 4), Algebra(2, 5, ideal=[{(2, 1): 1}, {(0, 3): 1}]),
+            Algebra(3, 5, ideal=[{(2, 0, 0): 1, (0, 3, 0): 1}]),
+            Algebra(3, 4, ideal=[{(1, 1, 0): 1, (0, 0, 2): -1}])] + [
+            f() for f in NON_MONOMIAL_ALGEBRAS.values()]
+
+
+def test_weight_blocks_carry_their_key():
+    from nilbloch.forms import block_grades
+    for Aw in _weight_block_algebras():
+        for n in range(Aw.m + 1):
+            for g in block_grades(Aw, n):
+                blk = form_block(Aw, n, (g, ()))
+                assert blk.coords
+                assert all(block_key(Aw, *c) == (g, ()) for c in blk.coords)
+                for row in blk._relation_rows():
+                    assert all(block_key(Aw, *c) == (g, ()) for c in row)
+
+
+def test_weight_splits_quasi_homogeneous_degrees():
+    from nilbloch.forms import block_grades
+    A5 = Algebra(5, 7, ideal=[{(2, 0, 0, 0, 0): 1, (0, 3, 0, 0, 0): 1}])
+    assert A5.weight == (3, 2, 1, 1, 1)
+    assert len(block_grades(A5, 2)) > 1
+    assert Algebra(3, 4, ideal=[{(2, 1, 0): 1}]).weight == (1, 1, 1)
+    gap = NON_MONOMIAL_ALGEBRAS["gap_quotient"]()
+    assert gap.weight == (0, 0)
+    assert all(len(block_grades(gap, n)) == 1 for n in range(gap.m + 1))

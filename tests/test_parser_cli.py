@@ -536,6 +536,36 @@ def test_cli_sequence_degree_above_m_plus_one_exits_two(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def _src_env(**extra):
+    import nilbloch
+    env = dict(os.environ, **extra)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilbloch.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_unknown_variable_is_named_in_input_order():
+    # with m inferred, the first unknown name in the text is reported, whatever the hash seed
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilbloch", "singular", "--poly", "t*t2+a*x+b"],
+            env=_src_env(PYTHONHASHSEED=str(seed)), capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2 and "unknown variable 't'" in proc.stderr, proc.stderr
+
+
+def test_text_flags_take_values_beginning_with_dash(capsys):
+    code, out, err = run_cli(capsys, ["singular", "--poly", "-t1^2-t2^2"])
+    assert code == 0, err
+    assert json.loads(out)["mu"] == 1
+    code, out, err = run_cli(capsys, ["cohom", "--m", "1", "--N", "2", "--ideal", "-t"])
+    assert code == 0, err
+    assert json.loads(out)["algebra"]["ideal"] == ["-t"]
+    # a text flag with no value is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cohom", "--m", "1", "--N", "2", "--ideal"])
+    assert exc.value.code == 2
+
+
 # -- fuzzed text input --------------------------------------------------------------
 
 _ATOM = st.sampled_from(["t", "t1", "t2", "t3", "a", "0", "1", "2", "3/2"])
