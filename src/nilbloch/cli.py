@@ -178,10 +178,10 @@ def _cmd_singular(args):
     if deg > args.N_max - 2:
         raise ValueError(f"--poly may reach degree {deg}; raise --N-max to at least {deg + 2}")
     rep = sg.singularity_report(ps.polynomial_terms(args.poly), args.N_max)
-    out = rep.to_json()
+    passed = rep.h_dim == rep.mu - rep.tau     # the de Rham cross-check
     lines = [f"f = {rep.f}: mu={rep.mu} tau={rep.tau} "
-             f"dim H^{rep.m - 1} = {rep.h_dim} (= mu - tau)"]
-    return out, True, lines
+             f"dim H^{rep.m - 1} = {rep.h_dim} ({'=' if passed else '!='} mu - tau)"]
+    return rep.to_json(), passed, lines
 
 
 def _cmd_selftest(args):

@@ -10,11 +10,14 @@ Every spec is presented one way: as a direct sum of blocks that d
 preserves, with quotient classes mod d, exactness questions and ranks
 solved block by block. FULL and POWER(k) span the coordinates of internal
 degree >= 1 (resp. >= k) in the weight blocks (w . alpha, pihat) of forms
-(BlockedRelative). EXPLICIT has one class space per degree (WholeRelative):
-its kernel is homogeneous only for a weight both ideals respect. A witness
-comes from the first failing block in split order (forms.split_blocks). A
-degree cutoff, monomial ideals only, discards the coordinates of internal
-degree above the cutoff; certificates re-verify against what was kept.
+(BlockedRelative). EXPLICIT is blocked by the weight w' of the quotient
+R/I = Q[t]/(J + I + m^N) instead (WholeRelative): w' is zero on the
+exponent differences of the generators of J and of I, so restriction to R/I
+and d keep the key (w' . alpha, ()), and a block's relative basis is the
+kernel of restriction over that block's coordinates. A witness comes from
+the first failing block in split order (forms.split_blocks). A degree
+cutoff, monomial ideals only, discards the coordinates of internal degree
+above the cutoff; certificates re-verify against what was kept.
 
 Monomial-ideal ranks are counted, not solved: the Euler contraction h
 (forms.euler_homotopy) has dh + hd = i on block (i, pihat), so over Q every
@@ -233,52 +236,50 @@ class BlockedRelative(_Relative):
 
 
 class WholeRelative(_Relative):
-    """EXPLICIT: the kernel of restriction to R/I, one class space (key None) per degree."""
+    """EXPLICIT: the kernel of restriction to R/I, blocked by (w' . alpha, ()), w' the
+    weight of R/I. J and I are w'-homogeneous, so restriction and d keep the key."""
 
     def __init__(self, algebra, rel):
         if algebra.n_params:
             raise ValueError("invalid relative spec")
         super().__init__(algebra, rel)
-        self._vectors, self._member = {}, {}
+        self._kernels = {}
         self.quotient = Algebra(algebra.m, algebra.N,
                                 ideal=list(algebra.ideal_gens) + [dict(g) for g in rel.gens])
 
     def block_keys(self, n, pihats=None):
-        return [None]
+        return list(self._blocks(n))
 
     def _split(self, form):
-        return {None: form.terms}
+        return fm.split_blocks(self.quotient, form.terms)
 
     def _tags(self, n, key):
-        return range(len(self._basis(n)))
+        return [(key, idx) for idx in range(len(self._blocks(n).get(key, ())))]
 
-    def _vector(self, n, idx):
-        return self._basis(n)[idx]
+    def _vector(self, n, tag):
+        key, idx = tag
+        return self._blocks(n)[key][idx]
 
-    def _basis(self, n):
-        """The kernel of restriction to R/I in degree n, over the sorted basis."""
-        if n not in self._vectors:
-            A, Aq, coords = self.A, self.quotient, []
+    def _blocks(self, n):
+        """{key: the kernel of restriction to R/I over the block's sorted basis}."""
+        if n not in self._kernels:
+            A, Aq, basis = self.A, self.quotient, {}
             if n >= 0:
                 fm.whole_budget(A, n)
-                coords = sorted((c for g in fm.block_grades(A, n)
-                                 for c in form_block(A, n, (g, ())).basis),
-                                key=coord_sort_key(A))
-            images = [Form(Aq, n, {c: Fraction(1)}).terms for c in coords]
-            kern = nullspace(images, order=coord_sort_key(Aq))
-            self._vectors[n] = [{coords[idx]: c for idx, c in combo.items()} for combo in kern]
-        return self._vectors[n]
+                basis = {c: 1 for g in fm.block_grades(A, n)
+                         for c in form_block(A, n, (g, ())).basis}
+            kernels = {}
+            for key, group in sorted(fm.split_blocks(Aq, basis).items()):
+                coords = sorted(group, key=coord_sort_key(A))
+                images = [Form(Aq, n, {c: Fraction(1)}).terms for c in coords]
+                kern = nullspace(images, order=coord_sort_key(Aq))
+                if kern:
+                    kernels[key] = [{coords[i]: c for i, c in combo.items()} for combo in kern]
+            self._kernels[n] = kernels
+        return self._kernels[n]
 
     def is_relative(self, form):
-        if not form.terms:
-            return True
-        n = form.degree
-        if n not in self._member:
-            rows = RowSpace(order=coord_sort_key(self.A))
-            for v in self._basis(n):
-                rows.insert(v)
-            self._member[n] = rows
-        return self._member[n].contains(form.terms)
+        return not Form(self.quotient, form.degree, form.terms)
 
 
 def relative(algebra, rel):

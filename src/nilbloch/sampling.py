@@ -46,11 +46,7 @@ def random_symbol(rng, A, arity, nil_slots=1):
     forced = set(rng.sample(range(arity), nil_slots))
     for i in range(arity):
         if i in forced:
-            while True:
-                x = random_nilpotent(rng, A)
-                if x:
-                    break
-            entries.append(A.one() + x)
+            entries.append(A.one() + _nonzero_nilpotent(rng, A))
         else:
             entries.append(random_unit(rng, A))
     return ks.symbol(*entries)
@@ -74,10 +70,17 @@ def steinberg_instance(rng, A):
         a = random_rational(rng, nonzero=True)
         if a != 1:
             break
+    return A.const(a), _nonzero_nilpotent(rng, A)
+
+
+def _nonzero_nilpotent(rng, A):
+    """random_nilpotent until nonzero; ValueError when the nilpotent basis is empty."""
+    if not _nil_monos(A):
+        raise ValueError("the nilpotent basis is empty: every nilpotent is 0")
     while True:
         x = random_nilpotent(rng, A)
         if x:
-            return A.const(a), x
+            return x
 
 
 def small_algebras(max_N=5, max_m=2):

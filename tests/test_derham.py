@@ -1,18 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch.algebra import Algebra
+from nilbloch.algebra import Algebra, monomials_below
+from nilbloch.linalg import RowSpace, nullspace, vec_iadd
 from nilbloch.parser import algebra_from_json
-from nilbloch.forms import (Form, d, d_elem, euler_homotopy, form_block,
-                            form_str, zero_form)
+from nilbloch.forms import (Form, block_grades, block_key, coord_sort_key, d, d_elem,
+                            euler_homotopy, form_block, form_str, zero_form)
 from nilbloch.derham import (EXPLICIT, FULL, POWER, _Relative, _pihat_box,
                              check_certificate,
                              cohomology, is_exact, quotient_class, relative,
                              relative_basis, sigma_report,
                              verify_forms_sequence)
+from nilbloch.sampling import engine_corpus
 
 CURVE = {(4, 0): 1, (2, 3): 1, (0, 5): 1}
 CURVE_JAC = [{(3, 0): 4, (1, 3): 2}, {(2, 2): 3, (0, 4): 5}]
@@ -90,13 +93,13 @@ def test_non_exact_explicit_certificate_roundtrip():
     rep = next(r for r in reps if r.terms)
     cert = is_exact(rep, EXPLICIT(CURVE_JAC))
     assert not cert.exact
-    assert cert.witness_block is None      # EXPLICIT: one class space per degree
+    assert cert.witness_block == (0, ())   # the gap curve's Jacobian: w' = 0, one block
+    assert all(block_key(pres.quotient, *c) == cert.witness_block for c in cert.witness)
     assert check_certificate(cert, rep, EXPLICIT(CURVE_JAC))
     assert not check_certificate(cert, zero_form(A, 1), EXPLICIT(CURVE_JAC))
 
 
 def test_quasi_homogeneous_witness_checks_out():
-    from nilbloch.forms import block_key
     from nilbloch.ksymbols import bloch
     from nilbloch.parser import parse_symbol_sum
     A = algebra_from_json({"nilpotents": 3, "bound": 5, "ideal": ["t1^2+t2^3"]})
@@ -357,3 +360,94 @@ def test_memoized_rank_matches_alternating_sum(m, N):
                 for n in range(m + k + 2):
                     alt = sum((-1) ** (n - 1 - j) * pres.dim(j, [p]) for j in range(n))
                     assert pres.rank(n, [p]) == alt, (p, n)
+
+
+# EXPLICIT relatives are solved per weight block of R/I. The reference below
+# is the whole-degree solve they replaced: one kernel over the sorted
+# degree-n basis and one class space per degree. The blocks' reduced echelon
+# bases are the whole one's, so dims, ranks, kernels, classes and primitives
+# must agree exactly; only a witness may come from another failing block.
+
+def _whole_degree_kernel(pres, n):
+    """The kernel of restriction to R/I in degree n, as one nullspace."""
+    A, Aq = pres.A, pres.quotient
+    coords = sorted((c for g in block_grades(A, n) for c in form_block(A, n, (g, ())).basis),
+                    key=coord_sort_key(A))
+    images = [Form(Aq, n, {c: Fraction(1)}).terms for c in coords]
+    return [{coords[i]: c for i, c in combo.items()}
+            for combo in nullspace(images, order=coord_sort_key(Aq))]
+
+
+def _whole_degree_class_rows(A, n, prev):
+    """d-images of the whole (n-1)-kernel prev, tagged by index."""
+    rows = RowSpace(order=coord_sort_key(A), track=True)
+    for idx, v in enumerate(prev):
+        rows.insert(d(Form(A, n - 1, v, canonical=True)).terms, tag=idx)
+    return rows
+
+
+def _random_explicit_spec(seed):
+    """m <= 3, J zero, monomial or not, and one or two random generators of I."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    N = rng.randint(3, 6 - m)
+    exps = monomials_below(m, N)[1:]        # every nonconstant monomial below N
+
+    def poly(terms):
+        return {rng.choice(exps): rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(terms)}
+
+    ideal = rng.choice([[], [poly(1)], [poly(rng.randint(2, 3))]])
+    gens = [poly(rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+    return Algebra(m, N, ideal=ideal), EXPLICIT(gens)
+
+
+def _engine_corpus_explicit():
+    out = []
+    for label, m, N, ideal, rel in engine_corpus():
+        # a FULL entry as EXPLICIT(t1, ..., tm), the same kernel
+        gens = rel or [{tuple(int(v == i) for v in range(m)): 1} for i in range(m)]
+        out.append(pytest.param(lambda m=m, N=N, ideal=ideal, gens=gens: (
+            Algebra(m, N, ideal=ideal), EXPLICIT(gens)), id=label))
+    return out
+
+
+def _check_against_reference(form, rel, ref, prev):
+    """is_exact agrees with the whole-degree solve, and its certificate checks out."""
+    cert = is_exact(form, rel)
+    combo = ref.solve(form.terms)
+    assert cert.exact == (combo is not None)
+    if cert.exact:
+        primitive = {}
+        for idx, c in combo.items():
+            vec_iadd(primitive, prev[idx], c)
+        assert cert.primitive.terms == primitive
+    else:
+        quotient = relative(form.algebra, rel).quotient
+        assert all(block_key(quotient, *c) == cert.witness_block for c in cert.witness)
+    assert check_certificate(cert, form, rel)
+
+
+@pytest.mark.parametrize("make", _engine_corpus_explicit() + [
+    pytest.param(lambda seed=seed: _random_explicit_spec(seed), id=f"seed{seed}")
+    for seed in range(24)])
+def test_explicit_blocks_match_whole_degree_solve(make):
+    A, rel = make()
+    pres = relative(A, rel)
+    prev = []
+    for n in range(A.m + 2):
+        kernel = _whole_degree_kernel(pres, n)
+        assert pres.dim(n) == len(kernel)
+        assert sorted(map(sorted, pres.rel_vectors(n))) == sorted(map(sorted, kernel))
+        ref = _whole_degree_class_rows(A, n, prev)
+        assert pres.rank(n) == ref.rank
+        for v in kernel:
+            form = Form(A, n, v, canonical=True)
+            cls = quotient_class(form, rel)
+            assert cls.terms == ref.reduce(v)
+            _check_against_reference(cls or form, rel, ref, prev)
+        # one probe across every block: a witness from the first failing one
+        mixed = {}
+        for i, v in enumerate(kernel):
+            vec_iadd(mixed, v, i + 1)
+        _check_against_reference(Form(A, n, mixed, canonical=True), rel, ref, prev)
+        prev = kernel

@@ -182,6 +182,16 @@ def test_d_of_representative_is_dlog():
         assert d(cl.rep) == dlog_symbol(s)
 
 
+def test_sampling_refuses_an_algebra_without_nilpotents():
+    rng = random.Random(15)
+    for A in (Algebra(2, 3, ideal=[{(1, 0): 1}, {(0, 1): 1}]), Algebra(1, 1)):
+        assert sp.random_nilpotent(rng, A) == A.zero()
+        with pytest.raises(ValueError, match="nilpotent basis is empty"):
+            sp.random_symbol(rng, A, 2)
+        with pytest.raises(ValueError, match="nilpotent basis is empty"):
+            sp.steinberg_instance(rng, A)
+
+
 def test_multiplicativity_in_one_slot():
     rng = random.Random(14)
     for _ in range(20):

@@ -420,6 +420,16 @@ def test_cli_singular_report(capsys):
     assert (data["mu"], data["tau"], data["gap"]) == (4, 4, 0)
 
 
+def test_cli_singular_failed_cross_check_exits_one(capsys, monkeypatch):
+    from nilbloch import singularities
+    monkeypatch.setattr(singularities, "hypersurface_h_dim", lambda f, N: 7)
+    code, out, err = run_cli(capsys, ["--summary", "singular", "--poly", "t1^3+t2^3"])
+    data = json.loads(out)     # the report is printed: a disproof, not bad input
+    assert code == 1
+    assert (data["mu"], data["tau"], data["h_dim"], data["gap"]) == (4, 4, 7, 0)
+    assert "dim H^1 = 7 (!= mu - tau)" in err
+
+
 def test_cli_output_deterministic(capsys):
     argv = ["verify-key-identity", "--i", "1", "--j", "1"]
     _, out1, _ = run_cli(capsys, argv)
