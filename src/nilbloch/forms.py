@@ -37,11 +37,16 @@ coboundary sum_{v in S - T} +-e_{T+v}. So dim_alpha(n) = #alive n-subsets
 alive, 0 when alpha - 1_S is dead, and otherwise one small exact
 elimination, _fine_dims(s, k, covers), kept in one bounded process-wide
 memo as its key names no algebra: I is dead iff |I| <= k = |alpha| - N or
-I lies in a cover {v in S: alpha_v > g_v} of a generator g dividing alpha.
-Without J no alpha is listed: C(m, s) C(i - 1, s - 1) of them have
-|supp alpha| = s and |alpha| = i (s <= i <= N - 1 + s), all with one key.
-J changes only the alpha a generator divides; graded_dims visits those
-alone, takes off their J-free share and adds their own.
+I lies in a cover {v in S: alpha_v > g_v} of a generator g dividing alpha
+(the key keeps the maximal covers alone). Without J no alpha is listed:
+C(m, s) C(i - 1, s - 1) of them have |supp alpha| = s and |alpha| = i
+(s <= i <= N - 1 + s), all with one key. J sees alpha only through its
+capped profile gamma_v = min(alpha_v, c_v), c_v = 1 + max_g g_v, which
+fixes S, the generators dividing alpha, their covers and whether
+alpha - 1_S is alive. So graded_dims lists, for each generator g, the
+gamma >= g with |gamma - 1_S| < N; with u coordinates at their cap, gamma
+stands for C(i - |gamma| + u - 1, u - 1) alpha of degree i, all with one
+key, whose J-free share it takes off and whose own it adds.
 FormBlock stays the only source of bases and canonical coordinates.
 """
 
@@ -53,7 +58,7 @@ from math import comb
 from operator import mul
 
 from .linalg import RowSpace, independent, vec_add, vec_iadd, vec_scale
-from .algebra import AlgElem, Algebra, _divides, monomials_below, monomials_of_degree
+from .algebra import AlgElem, Algebra, _divides, monomials_of_degree
 
 # the most coordinates of one degree over a non-monomial ideal or in an EXPLICIT kernel
 MAX_WHOLE_COORDS = 450_000
@@ -243,7 +248,7 @@ def param_free_twin(algebra):
 
 
 def graded_dims(algebra):
-    """{(n, i): dim of block (n, (i, ()))} of Q[t]/J, counted per fine multidegree; cached."""
+    """{(n, i): dim of block (n, (i, ()))} of Q[t]/J, counted per capped profile; cached."""
     dims = getattr(algebra, "_graded_dims", None)
     if dims is None:
         if algebra.n_params or not algebra.monomial_ideal:
@@ -254,31 +259,42 @@ def graded_dims(algebra):
         for s in range(1, m + 1):
             for i in range(s, N + s):
                 counts[(i, (s, max(i - N, -1), frozenset()))] += comb(m, s) * comb(i - 1, s - 1)
-        # then each alpha = beta + 1_S a generator g divides: beta >= g - 1, S covers g, beta
+        # then each profile gamma = min(alpha, cap) a generator divides, counted once
+        cap = [1 + max(col) for col in zip(*gens)]
         for g in gens:
-            low = tuple(max(e - 1, 0) for e in g)
-            for extra in monomials_below(m, N - sum(low)):
-                beta = tuple(map(sum, zip(low, extra)))
-                zeros = [v for v in range(m) if not beta[v] and not g[v]]
-                for r in range(len(zeros) + 1):
-                    for more in combinations(zeros, r):
-                        alpha = tuple(b + 1 if b or g[v] or v in more else 0
-                                      for v, b in enumerate(beta))
-                        divs = [h for h in gens if _divides(h, alpha)]
-                        if divs[0] != g:
-                            continue        # counted with an earlier generator
-                        S, i = [v for v, a in enumerate(alpha) if a], sum(alpha)
-                        counts[(i, (len(S), max(i - N, -1), frozenset()))] -= 1
-                        if not any(_divides(h, beta) for h in divs):   # beta alive
-                            counts[(i, (len(S), max(i - N, -1), frozenset(
-                                sum(1 << b for b, v in enumerate(S) if alpha[v] > h[v])
-                                for h in divs)))] += 1
+            for gamma in _profiles(g, cap, N - 1):
+                divs = [h for h in gens if _divides(h, gamma)]
+                if divs[0] != g:
+                    continue        # counted with an earlier generator
+                S = [v for v, a in enumerate(gamma) if a]
+                s, low, u = len(S), sum(gamma), sum(a == c for a, c in zip(gamma, cap))
+                covers = {sum(1 << b for b, v in enumerate(S) if gamma[v] > h[v]) for h in divs}
+                covers = frozenset(U for U in covers         # the maximal ones
+                                   if not any(U != W and U | W == W for W in covers))
+                for i in range(low, N + s if u else low + 1):
+                    # the alpha >= gamma of degree i that raise only the capped coordinates
+                    times = comb(i - low + u - 1, u - 1) if u else 1
+                    counts[(i, (s, max(i - N, -1), frozenset()))] -= times
+                    if (1 << s) - 1 not in covers:    # beta = alpha - 1_S alive
+                        counts[(i, (s, max(i - N, -1), covers))] += times
         dims = Counter()
         for (i, key), times in counts.items():
             for n, dim in enumerate(_fine_dims(*key) if times else ()):
                 dims[(n, i)] += times * dim
         dims = algebra._graded_dims = {k: dim for k, dim in dims.items() if dim}
     return dims
+
+
+def _profiles(g, cap, budget):
+    """The gamma with g <= gamma <= cap and |gamma - 1_(supp gamma)| <= budget, each
+    coordinate pruned against the least that the coordinates after it add."""
+    rest = [sum(max(e - 1, 0) for e in g[v:]) for v in range(len(g) + 1)]
+    layer = [((), 0)]
+    for v, top in enumerate(cap):
+        room = budget - rest[v + 1]
+        layer = [(p + (x,), b + max(x - 1, 0)) for p, b in layer
+                 for x in range(g[v], top + 1) if b + max(x - 1, 0) <= room]
+    return [p for p, _ in layer]
 
 
 @lru_cache(maxsize=4096)

@@ -1,10 +1,11 @@
 """Sparse exact row reduction over ordered coordinate keys.
 
-Rows are dicts mapping hashable coordinate keys to Fractions. A RowSpace
-keeps an inter-reduced echelon basis of everything inserted into it; the
-pivot of a row is its largest key under the supplied order, so reducing a
-vector eliminates largest terms first and the reduced representative of a
-coset is unique.
+Rows are dicts mapping hashable coordinate keys to exact rationals (int
+or Fraction). A RowSpace keeps an inter-reduced echelon basis of
+everything inserted into it; the pivot of a row is its largest key under
+the supplied order, so reducing a vector eliminates largest terms first
+and the reduced representative of a coset is unique. Rows are monic: one
+whose lead is 1 is stored as given, ints staying ints; a lead -1 negates.
 
 A RowSpace also keeps a column index over the non-pivot keys: for every
 key k that some row holds and that is not itself a pivot, cols[k] is
@@ -98,8 +99,9 @@ class RowSpace:
         if not res:
             return None
         piv = max(res, key=self.order)
-        lead = Fraction(res[piv])
-        row = vec_scale(res, Fraction(1) / lead)
+        lead = res[piv]
+        # res is a fresh dict, so a monic one is stored as it is
+        row = res if lead == 1 else vec_scale(res, -1 if lead == -1 else Fraction(1) / lead)
         if self.track:
             cmb = vec_scale(combo, Fraction(-1) / lead)
             if tag is not None:

@@ -273,10 +273,27 @@ def _assert_graded_dims_match_blocks(A):
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.integers(1, 4), N=st.integers(2, 8), data=st.data())
-def test_graded_dims_match_form_blocks(m, N, data):
+@given(m=st.integers(1, 5), data=st.data())
+def test_graded_dims_match_form_blocks(m, data):
+    N = data.draw(st.integers(2, 8 if m < 5 else 5))
     exps = st.lists(st.integers(0, N), min_size=m, max_size=m).map(tuple).filter(any)
     gens = data.draw(st.lists(exps, max_size=3))
+    _assert_graded_dims_match_blocks(Algebra(m, N, ideal=[{e: 1} for e in gens]))
+
+
+@pytest.mark.parametrize("m, N, gens", [
+    # pure powers: every coordinate capped at 7 = N, few profiles per generator
+    (5, 7, [tuple(6 * (v == w) for v in range(5)) for w in range(5)]),
+    # a squarefree generator beside a power: most fine degrees are divisible
+    (6, 6, [(1, 1, 1, 0, 0, 0), (0, 0, 0, 5, 0, 0)]),
+    # not minimal: (2, 2, 0, 0) and (3, 1, 1, 0) are multiples of (2, 1, 0, 0)
+    (4, 6, [(2, 2, 0, 0), (2, 1, 0, 0), (3, 1, 1, 0), (0, 0, 2, 1)]),
+    # degree >= N: (0, 0, 5) and (0, 4, 3) lie in m^N already
+    (3, 5, [(0, 0, 5), (1, 1, 0), (0, 4, 3)]),
+    # t1 and t5 in no generator
+    (5, 6, [(0, 2, 0, 1, 0), (0, 0, 3, 0, 0), (0, 1, 1, 1, 0)]),
+])
+def test_graded_dims_match_form_blocks_on_hard_shapes(m, N, gens):
     _assert_graded_dims_match_blocks(Algebra(m, N, ideal=[{e: 1} for e in gens]))
 
 

@@ -206,3 +206,38 @@ def test_column_index_matches_full_scan_reference(vs, probe, track):
         assert rows.cols == column_index_of(rows.rows)
     assert rows.witness(probe) == ref.witness(probe)
     assert rows.reduce(probe) == ref.reduce(probe)[0]
+
+
+unit_lead_entries = st.one_of(st.sampled_from([1, -1, 1, -1, 2, -3]), entries)
+mixed_vectors = st.dictionaries(st.integers(min_value=0, max_value=7), unit_lead_entries,
+                                max_size=6).map(clean)
+
+
+@given(vs=st.lists(mixed_vectors, max_size=8), probe=mixed_vectors)
+def test_rows_stored_as_given_match_rescaled_reference(vs, probe):
+    """int and Fraction rows, leads +-1 or not: FullScanRowSpace rescales every row."""
+    rows = RowSpace(track=True)
+    ref = FullScanRowSpace(track=True)
+    kernel = []
+    for i, v in enumerate(vs):
+        res, combo = ref.reduce(v, want_combo=True)
+        assert rows.solve(v) == (None if res else combo)
+        if not res:
+            kernel.append(vec_add({i: Fraction(1)}, combo, -1))
+        assert rows.insert(v, tag=i) == ref.insert(v, tag=i)
+        assert rows.rows == ref.rows
+        assert rows.combos == ref.combos
+    assert nullspace(vs) == kernel
+    assert rows.reduce(probe) == ref.reduce(probe)[0]
+    assert rows.witness(probe) == ref.witness(probe)
+
+
+def test_int_rows_with_unit_lead_stay_int():
+    rows = RowSpace()
+    rows.insert({0: 2, 1: -3, 2: 1})
+    rows.insert({0: 1, 3: -1})
+    rows.insert({1: 1, 4: 2})
+    assert rows.rows[2] == {0: 2, 1: -3, 2: 1} and rows.rows[3] == {0: -1, 3: 1}
+    assert all(type(c) is int for p in (2, 3) for c in rows.rows[p].values())
+    assert rows.rows[4] == {1: Fraction(1, 2), 4: 1}
+    assert all(type(c) is Fraction for c in rows.rows[4].values())
