@@ -214,11 +214,10 @@ class Algebra:
 
     ideal lists extra generators (dicts {texp: coeff} or AlgElem-like term
     dicts) in the nilpotent variables; the degree-N power of the nilpotent
-    ideal is adjoined automatically unless add_bound_power=False, in which
-    case the given generators must already contain it.
+    ideal is adjoined automatically.
     """
 
-    def __init__(self, nilpotents, bound, ideal=(), params=(), add_bound_power=True):
+    def __init__(self, nilpotents, bound, ideal=(), params=()):
         if nilpotents < 1:
             raise ValueError("need at least one nilpotent variable")
         if bound < 1:
@@ -260,19 +259,10 @@ class Algebra:
             self.mono_gens = tuple(sorted(
                 e for e in set(exps)
                 if not any(f != e and _divides(f, e) for f in set(exps))))
-            if not add_bound_power:
-                for mono in monomials_of_degree(self.m, self.N):
-                    if not any(_divides(e, mono) for e in self.mono_gens):
-                        raise ValueError("degree-N monomials do not all vanish")
             self._ring_rows = None
         else:
             self.mono_gens = ()
             rows = _ideal_rows(self.m, gens, self.N)
-            if not add_bound_power:
-                wide = _ideal_rows(self.m, gens, self.N + 1)
-                for mono in monomials_of_degree(self.m, self.N):
-                    if not wide.contains({mono: Fraction(1)}):
-                        raise ValueError("degree-N monomials do not all vanish")
             self._ring_rows = rows
             # the rows list every monomial anyway, so the basis comes with them
             self.nil_basis = tuple(e for e in monomials_below(self.m, self.N)
@@ -289,7 +279,7 @@ class Algebra:
     @cached_property
     def weight(self):
         """Sum of the reduced integer basis of {w : w.(a - a') = 0, a, a' exponents of one
-        generator}: all ones for a monomial ideal; lazy, as counted tables never grade."""
+        generator}: all ones for a monomial ideal; lazy, as monomial tables never grade."""
         diffs = [[x - y for x, y in zip(a, next(iter(g)))] for g in self.ideal_gens for a in g]
         w = [0] * self.m
         for vec in nullspace([{j: d[v] for j, d in enumerate(diffs) if d[v]}

@@ -7,8 +7,8 @@ EXPLICIT(gens) the kernel for an arbitrary nilpotent ideal, found by
 presenting both form modules and solving for the kernel (parameter-free).
 
 Every spec is presented one way: as a direct sum of blocks that d
-preserves, with quotient classes mod d, exactness questions and ranks
-solved block by block. FULL and POWER(k) span the coordinates of internal
+preserves, with quotient classes mod d and exactness questions solved
+block by block. FULL and POWER(k) span the coordinates of internal
 degree >= 1 (resp. >= k) in the weight blocks (w . alpha, pihat) of forms
 (BlockedRelative). EXPLICIT is blocked by the weight w' of the quotient
 R/I = Q[t]/(J + I + m^N) instead (WholeRelative): w' is zero on the
@@ -19,12 +19,17 @@ the first failing block in split order (forms.split_blocks). A degree
 cutoff, monomial ideals only, discards the coordinates of internal degree
 above the cutoff; certificates re-verify against what was kept.
 
-Monomial-ideal ranks are counted, not solved: the Euler contraction h
-(forms.euler_homotopy) has dh + hd = i on block (i, pihat), so over Q every
-relative block (i >= k >= 1) is acyclic and the rank of d into degree n is
-the alternating sum of the block dimensions below n, memoized as rank(n) =
-dim(n - 1) - rank(n - 1). The tests check both against the class_rows
-solve, which still serves exactness and certificates.
+Ranks are counted, not solved, wherever a positive weight w grades R and
+I (acyclic): the Euler contraction h (forms.euler_homotopy for w = 1) has
+dh + hd = w . alpha on every relative block, so over Q the relative
+complex is acyclic and rank(n) = dim(n - 1) - rank(n - 1), memoized. So
+FULL and POWER over a monomial ideal (w = 1), FULL with min(Algebra.weight)
+> 0 and EXPLICIT with min(w') > 0 count. The gap curve (w = 0) and a w'
+with a zero entry stay on solved_rank, the class_rows solve, which also
+gives the h that `singular` checks against mu - tau.
+
+EXPLICIT dims come by restriction: Omega^n_A -> Omega^n_{R/I} is onto and
+keeps the key, so dim Omega^n_rel is the FULL dim of A minus that of R/I.
 
 Graded dimensions are counted too. A parameter-free block dimension is
 the sum of forms.graded_dims over the block's fine multidegrees (see
@@ -93,7 +98,9 @@ class _Relative:
     block are solved against the d-images of that block's relative
     (n-1)-basis alone. A subclass supplies the block layout (block_keys,
     _split), the relative basis of a block as tags (_tags) and the vector
-    of each tag (_vector), membership (is_relative) and counted dims (counted).
+    of each tag (_vector), membership (is_relative), the dimension of
+    degree n at f free parameters (_dim) and whether the complex is
+    acyclic (acyclic). Ranks are counted when it is, else solved.
     """
 
     counted = False
@@ -101,18 +108,47 @@ class _Relative:
     def __init__(self, algebra, rel):
         self.A = algebra
         self.rel = rel
-        self._class = {}
+        self._class, self._ranks = {}, {}
 
     def rel_vectors(self, n):
         return [self._vector(n, tag) for key in self.block_keys(n)
                 for tag in self._tags(n, key)]
 
     def dim(self, n, pihats=None):
-        return sum(len(self._tags(n, key)) for key in self.block_keys(n, pihats))
+        return sum(self._dim(n, self._free(p)) for p in self._pihats(pihats))
 
     def rank(self, n, pihats=None):
-        """Rank of d into degree n; blocks partition the coordinates."""
+        """Rank of d into degree n: counted when acyclic, else solved_rank."""
+        if not self.acyclic:
+            return self.solved_rank(n, pihats)
+        return sum(self._rank(n, self._free(p)) for p in self._pihats(pihats))
+
+    def solved_rank(self, n, pihats=None):
+        """Rank of d into degree n from the class rows; blocks partition the coordinates."""
         return sum(self.class_rows(n, key).rank for key in self.block_keys(n, pihats))
+
+    def _rank(self, n, f):
+        """rank(n) = dim(n - 1) - rank(n - 1), memoized like _dim."""
+        if n > 0 and f is not None and (n, f) not in self._ranks:
+            self._ranks[(n, f)] = self._dim(n - 1, f) - self._rank(n - 1, f)
+        return self._ranks.get((n, f), 0)
+
+    def _pihats(self, pihats):
+        if pihats is None:
+            if self.A.n_params:
+                raise ValueError("parametric mode needs explicit multidegree blocks")
+            return [(0,) * self.A.n_params]
+        return pihats
+
+    def _free(self, pihat):
+        """The count f of j with da_j allowed at pihat; None if pihat holds no form."""
+        f = 0
+        for e, p in zip(pihat, self.A.params):
+            if p.invertible or e >= 1:
+                f += 1
+            elif e < 0:
+                return None
+        return f
 
     def class_rows(self, n, key):
         """d-images of the relative (n-1)-basis of this block, by tag."""
@@ -168,14 +204,8 @@ class BlockedRelative(_Relative):
         super().__init__(algebra, rel)
         self.k = 1 if rel.kind == "full" else rel.k
         self.counted = algebra.monomial_ideal
-        self._dims, self._ranks = {}, {}
-
-    def _pihats(self, pihats):
-        if pihats is None:
-            if self.A.n_params:
-                raise ValueError("parametric mode needs explicit multidegree blocks")
-            return [(0,) * self.A.n_params]
-        return pihats
+        self.acyclic = self.counted or min(algebra.weight) > 0
+        self._dims = {}
 
     def block_keys(self, n, pihats=None):
         if not self.counted:
@@ -183,33 +213,15 @@ class BlockedRelative(_Relative):
         top = self.A.N + min(n, self.A.m) if n >= 0 else self.k
         return [(i, p) for p in self._pihats(pihats) for i in range(self.k, top)]
 
-    def dim(self, n, pihats=None):
-        """Monomial ideal: counted by forms.graded_dims (of the twin when parametric)."""
-        if not self.counted:
-            return super().dim(n, pihats)
-        return sum(self._dim(n, self._free(p)) for p in self._pihats(pihats))
-
-    def rank(self, n, pihats=None):
-        """Monomial ideal: counted, as every relative block (i >= k >= 1) is acyclic."""
-        if not self.counted:
-            return super().rank(n, pihats)
-        return sum(self._rank(n, self._free(p)) for p in self._pihats(pihats))
-
-    def _free(self, pihat):
-        """The count f of j with da_j allowed at pihat; None if pihat holds no form."""
-        f = 0
-        for e, p in zip(pihat, self.A.params):
-            if p.invertible or e >= 1:
-                f += 1
-            elif e < 0:
-                return None
-        return f
-
     def _dim(self, n, f):
+        """Monomial ideal: counted by forms.graded_dims (of the twin when parametric);
+        else the sum of the blocks' relative bases."""
         if f is None:
             return 0
         if (n, f) not in self._dims:
-            if self.A.n_params:
+            if not self.counted:
+                dim = sum(len(self._tags(n, key)) for key in self.block_keys(n))
+            elif self.A.n_params:
                 twin = relative(fm.param_free_twin(self.A), self.rel)
                 dim = sum(comb(f, s) * twin._dim(n - s, 0) for s in range(f + 1))
             else:
@@ -217,12 +229,6 @@ class BlockedRelative(_Relative):
                 dim = sum(dims.get((n, i), 0) for i, _ in self.block_keys(n))
             self._dims[(n, f)] = dim
         return self._dims[(n, f)]
-
-    def _rank(self, n, f):
-        """rank(n) = dim(n - 1) - rank(n - 1), memoized like _dim."""
-        if n > 0 and f is not None and (n, f) not in self._ranks:
-            self._ranks[(n, f)] = self._dim(n - 1, f) - self._rank(n - 1, f)
-        return self._ranks.get((n, f), 0)
 
     def _tags(self, n, key):
         return [c for c in form_block(self.A, n, key).basis
@@ -246,6 +252,11 @@ class WholeRelative(_Relative):
         self._kernels = {}
         self.quotient = Algebra(algebra.m, algebra.N,
                                 ideal=list(algebra.ideal_gens) + [dict(g) for g in rel.gens])
+        self.acyclic = min(self.quotient.weight) > 0
+
+    def _dim(self, n, f):
+        """Restriction onto Omega of R/I is onto and keeps the key: a difference of FULL dims."""
+        return relative(self.A, FULL).dim(n) - relative(self.quotient, FULL).dim(n)
 
     def block_keys(self, n, pihats=None):
         return list(self._blocks(n))
@@ -385,8 +396,10 @@ def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
     if count > MAX_TABLE_ROWS:
         raise ValueError(f"the table has {count} rows, above the limit {MAX_TABLE_ROWS}")
     pres = relative(algebra, rel)
-    for n in range(n_max + 1) if not pres.counted else ():
-        fm.whole_budget(algebra, n)     # before any degree is solved
+    # before a degree is built: kernels if solved, else the blocks that non-monomial dims sum
+    for B in (algebra, getattr(pres, "quotient", algebra)):
+        for n in range(n_max + 1) if not (pres.acyclic and B.monomial_ideal) else ():
+            fm.whole_budget(B, n)
     pihats = _pihat_box(algebra, b)   # [()] without parameters
     rows = []
     for n in range(n_max + 1):
@@ -495,10 +508,10 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
     degreewise = []
     seq4_ok = True
     for kdeg in range(0, n + 1):
-        dimJ = presJ.dim(kdeg)
+        vecsJ = presJ.rel_vectors(kdeg)
+        dimJ = len(vecsJ)       # the solved kernel: a counted dim is dimI - dimQ
         dimI = presI.dim(kdeg)
         dimQ = presQ.dim(kdeg)
-        vecsJ = presJ.rel_vectors(kdeg)
         inclusion_ok = all(presI.is_relative(Form(A, kdeg, v, canonical=True))
                            for v in vecsJ)
         comp_zero = all(not push(Form(A, kdeg, v, canonical=True)).terms

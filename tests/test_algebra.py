@@ -156,13 +156,6 @@ def test_constructor_validation():
         Algebra(1, 3, params=[("t", False)])
 
 
-def test_no_bound_power_needs_cofinite_ideal():
-    C = Algebra(1, 4, ideal=[{(2,): 1}], add_bound_power=False)
-    assert C.nil_basis == ((0,), (1,))
-    with pytest.raises(ValueError, match="degree-N"):
-        Algebra(2, 3, ideal=[{(2, 0): 1}], add_bound_power=False)
-
-
 def test_element_printing_descends_by_degree():
     t1, t2 = A.nil(0), A.nil(1)
     e = A.one() + t1 + 2 * t2 ** 2 - t1 * t2 ** 2

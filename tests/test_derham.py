@@ -10,7 +10,7 @@ from nilbloch.linalg import RowSpace, nullspace, vec_iadd
 from nilbloch.parser import algebra_from_json
 from nilbloch.forms import (Form, block_grades, block_key, coord_sort_key, d, d_elem,
                             euler_homotopy, form_block, form_str, zero_form)
-from nilbloch.derham import (EXPLICIT, FULL, POWER, _Relative, _pihat_box,
+from nilbloch.derham import (EXPLICIT, FULL, POWER, _pihat_box,
                              check_certificate,
                              cohomology, is_exact, quotient_class, relative,
                              relative_basis, sigma_report,
@@ -252,10 +252,10 @@ def test_parametric_cohomology_two_nilpotents_invertible_param():
     assert all(r["dim_h"] == 0 for r in rows)
 
 
-# BlockedRelative.rank counts instead of solving: the Euler contraction h
-# satisfies dh + hd = i on block (i, pihat), so every relative block is
-# acyclic. The tests below certify the identity and the count against the
-# class_rows solve (_Relative.rank).
+# An acyclic presentation counts its ranks instead of solving: the Euler
+# contraction h satisfies dh + hd = i on block (i, pihat), so every relative
+# block is acyclic. The tests below certify the identity and the count
+# against the class_rows solve (solved_rank).
 
 GRADED = ([Algebra(2, N) for N in range(2, 6)] + [Algebra(3, N) for N in range(2, 5)]
           + [Algebra(3, 4, ideal=[{(2, 0, 0): 1}, {(0, 1, 1): 1}])])
@@ -282,7 +282,7 @@ def test_rank_count_matches_solve_parametric():
     pres = relative(A, FULL)
     for p in _pihat_box(A, 2):
         for n in range(A.m + A.n_params + 2):
-            assert pres.rank(n, [p]) == _Relative.rank(pres, n, [p])
+            assert pres.rank(n, [p]) == pres.solved_rank(n, [p])
     assert any(pres.rank(1, [p]) for p in _pihat_box(A, 2))
 
 
@@ -291,7 +291,7 @@ def test_rank_count_matches_solve_every_power(N):
     A = Algebra(1, N)
     for k in range(1, N + 1):
         pres = relative(A, POWER(k))
-        assert [pres.rank(n) for n in range(4)] == [_Relative.rank(pres, n) for n in range(4)]
+        assert [pres.rank(n) for n in range(4)] == [pres.solved_rank(n) for n in range(4)]
 
 
 @settings(max_examples=15, deadline=None)
@@ -302,7 +302,7 @@ def test_rank_count_matches_solve_monomial_ideal(m, N, data):
     gens = data.draw(st.lists(exps, min_size=1, max_size=3))
     A = Algebra(m, N, ideal=[{e: 1} for e in gens])
     pres = relative(A, FULL)
-    assert [pres.rank(n) for n in range(m + 2)] == [_Relative.rank(pres, n) for n in range(m + 2)]
+    assert [pres.rank(n) for n in range(m + 2)] == [pres.solved_rank(n) for n in range(m + 2)]
 
 
 def test_graded_cohomology_builds_no_class_rows():
@@ -343,11 +343,54 @@ def test_counted_dim_and_rank_match_blocks(A, rel):
         negative = []
     for p in _pihat_box(A, 2) + negative:
         for n in range(A.m + A.n_params + 2):
-            assert pres.dim(n, [p]) == _Relative.dim(pres, n, [p]), (p, n)
-            assert pres.rank(n, [p]) == _Relative.rank(pres, n, [p]), (p, n)
+            listed = sum(len(pres._tags(n, key)) for key in pres.block_keys(n, [p]))
+            assert pres.dim(n, [p]) == listed, (p, n)
+            assert pres.rank(n, [p]) == pres.solved_rank(n, [p]), (p, n)
     assert all(pres.dim(n, negative) == 0 for n in range(A.m + A.n_params + 1))
     box = _pihat_box(A, 1)
     assert pres.dim(1, box) == sum(pres.dim(1, [p]) for p in box) > 0
+
+
+# A positive weight w grades R and I for these: E_w gives dh + hd = w . alpha,
+# so the tables count. w = (3, 2) for the cusp t1^2+t2^3, (1, 1) for t1^3+t2^3,
+# w' = (2, 1, 1) for t1+t2^2 and w' = (1, 1, 1, 1) for t1*t2-t3^2; t4^2.
+QUASI_HOMOGENEOUS = [
+    (Algebra(2, 6, ideal=[{(2, 0): 1, (0, 3): 1}]), FULL),
+    (Algebra(3, 5, ideal=[{(2, 0, 0): 1, (0, 3, 0): 1}]), FULL),
+    (Algebra(4, 4, ideal=[{(2, 0, 0, 0): 1, (0, 3, 0, 0): 1}]), FULL),
+    (Algebra(2, 7, ideal=[{(3, 0): 1, (0, 3): 1}]), FULL),
+    (Algebra(3, 4, ideal=[{(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 2): -1}]), FULL),
+    (Algebra(4, 4), EXPLICIT([{(1, 0, 0, 0): 1}])),
+    (Algebra(3, 5), EXPLICIT([{(1, 0, 0): 1, (0, 2, 0): 1}])),
+    (Algebra(4, 4), EXPLICIT([{(1, 1, 0, 0): 1, (0, 0, 2, 0): -1}, {(0, 0, 0, 2): 1}])),
+    (Algebra(3, 5, ideal=[{(2, 0, 0): 1, (0, 3, 0): 1}]),
+     EXPLICIT([{(1, 1, 0): 1}, {(0, 0, 2): 1}])),
+]
+# no positive weight: the gap curve (w = 0), its Jacobian as EXPLICIT, and
+# t1+t2^2+t2^3 (w' = (0, 0, 1)) stay solved
+SOLVED = [
+    (Algebra(2, 7, ideal=[CURVE]), FULL),
+    (Algebra(2, 6), EXPLICIT(CURVE_JAC)),
+    (Algebra(3, 4), EXPLICIT([{(1, 0, 0): 1, (0, 2, 0): 1, (0, 3, 0): 1}])),
+]
+
+
+@pytest.mark.parametrize("A, rel", QUASI_HOMOGENEOUS + SOLVED, ids=[
+    "cusp_m2", "cusp_m3", "cusp_m4", "t1^3+t2^3", "t1^3+t2^3-t3^2", "explicit_t1_m4",
+    "explicit_t1+t2^2", "explicit_t1t2-t3^2;t4^2", "explicit_over_cusp",
+    "gap_curve", "explicit_gap_jacobian", "explicit_t1+t2^2+t2^3"])
+def test_counted_rank_matches_solve_or_falls_back(A, rel):
+    pres = relative(A, rel)
+    acyclic = (A, rel) in QUASI_HOMOGENEOUS
+    assert pres.acyclic == acyclic
+    rows = cohomology(A, rel).rows
+    assert (pres._class == {}) == acyclic     # counted tables build no class rows
+    degrees = range(A.m + 2)
+    assert [pres.dim(n) for n in degrees] == [len(pres.rel_vectors(n)) for n in degrees]
+    solved = [pres.solved_rank(n) for n in degrees]
+    assert [pres.rank(n) for n in degrees] == solved and any(solved)
+    assert [r["dim_im"] for r in rows] == solved[:-1]
+    assert not acyclic or all(r["dim_h"] == 0 for r in rows)
 
 
 @pytest.mark.parametrize("m, N", [(1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 4)])

@@ -285,16 +285,31 @@ def test_cli_table_and_whole_block_budgets_exit_two(capsys, tmp_path):
     spec = tmp_path / "A.json"
     spec.write_text(json.dumps({"nilpotents": 2, "bound": 4, "params": [
         {"name": "a", "invertible": False}, {"name": "b", "invertible": True}]}))
-    # m = 8, N = 8: 6435 nilpotent monomials; the first degree over the limit is named
+    # m = 8, N = 8: 6435 nilpotent monomials; the first degree over the limit is named.
+    # The gap curve gives R/I the weight w' = (0, 0, 1, ..., 1), so its table is solved;
+    # t1^7+t2^7 has w = (1, ..., 1) and 6434 monomials, and its counted dims sum blocks.
     whole = next(c for c in (comb(8, n) * 6435 for n in range(9)) if c > MAX_WHOLE_COORDS)
+    gap = "explicit:t1^4+t1^2*t2^3+t2^5"
     for argv, count, limit in [
             (["--algebra", str(spec), "--param-bound", "300"], 5 * 601 * 301, MAX_TABLE_ROWS),
-            (["--m", "8", "--N", "8", "--relative", "explicit:t1"], whole, MAX_WHOLE_COORDS)]:
+            (["--m", "8", "--N", "8", "--relative", gap], whole, MAX_WHOLE_COORDS),
+            (["--m", "8", "--N", "8", "--ideal", "t1^7+t2^7"], comb(8, 4) * 6434,
+             MAX_WHOLE_COORDS)]:
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, ["cohom"] + argv)
         assert time.perf_counter() - t0 < 1
         assert code == 2 and not out
         assert f"has {count} " in err and f"above the limit {limit}" in err
+
+
+def test_cli_counted_explicit_table_needs_no_budget(capsys):
+    """w' = (1, ..., 1) for explicit:t1: counted, with no kernel of the 1.65M coordinates."""
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["cohom", "--m", "8", "--N", "8", "--relative", "explicit:t1"])
+    assert time.perf_counter() - t0 < 1
+    data = json.loads(out)
+    assert code == 0 and data["all_zero"] is True
+    assert all(r["dim_h"] == 0 for r in data["rows"]) and data["rows"][1]["dim"] > 0
 
 
 def test_cli_singular_poly_degree_budget():

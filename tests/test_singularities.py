@@ -1,5 +1,6 @@
 import pytest
 
+from nilbloch import derham as dr
 from nilbloch.algebra import Algebra
 from nilbloch.parser import polynomial_terms
 from nilbloch.singularities import (hypersurface_h_dim, jacobian, milnor_number,
@@ -60,6 +61,19 @@ def test_stabilized_value_insensitive_to_bound():
 
 def test_h_dim_stable_past_certified_truncation():
     assert hypersurface_h_dim(CURVE, 7) == hypersurface_h_dim(CURVE, 8) == 1
+
+
+@pytest.mark.parametrize("f, h", [({(3, 0): 1, (0, 2): 1}, 0), ({(5, 0): 1, (0, 2): 1}, 0),
+                                  ({(4, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, 0), (CURVE, 1)],
+                         ids=["A2", "A4", "A3_m3", "gap_curve"])
+def test_h_dim_solves_class_rows(monkeypatch, f, h):
+    """h stays solved: for the quasi-homogeneous A_k, mu = tau is the theorem checked."""
+    built = []
+    real = dr._Relative.class_rows
+    monkeypatch.setattr(dr._Relative, "class_rows",
+                        lambda self, n, key: built.append(n) or real(self, n, key))
+    assert hypersurface_h_dim(f, 7) == h
+    assert built
 
 
 def test_mu_dominates_tau():
