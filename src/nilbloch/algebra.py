@@ -2,10 +2,11 @@
 
 An algebra here is R = S[t_1..t_m]/J where S = Q[a_1..a_P] (some parameters
 optionally inverted) and J is an ideal in the nilpotent variables containing
-every monomial of degree N. Elements carry exact Fraction coefficients and
-are kept in normal form: in monomial-ideal mode a term survives iff its
-nilpotent part is not divisible by a generator and has degree < N, otherwise
-terms are rewritten against a row-reduced presentation of the ideal.
+every monomial of degree N. Elements carry exact rational coefficients (int
+where integral, else Fraction: _q) and are kept in normal form: in
+monomial-ideal mode a term survives iff its nilpotent part is not divisible
+by a generator and has degree < N, otherwise terms are rewritten against a
+row-reduced presentation of the ideal.
 
 Monomials are pairs (pexp, texp) of integer exponent tuples; parameter
 exponents may be negative only on parameters declared invertible.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm
-from operator import mul
+from operator import add, mul
 
 from .linalg import RowSpace, nullspace, vec_add, vec_iadd
 
@@ -54,6 +55,13 @@ def monomials_below(m, N):
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
+
+
+def _q(c):
+    """c as an exact rational: an int when integral, else a Fraction."""
+    if type(c) is not int and (c := Fraction(c)).denominator == 1:
+        return c.numerator
+    return c
 
 
 def _ideal_rows(m, gens, bound):
@@ -105,7 +113,7 @@ class AlgElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.algebra, vec_add(self.terms, o.terms, Fraction(-1)))
+        return AlgElem(self.algebra, vec_add(self.terms, o.terms, -1))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -194,7 +202,7 @@ class AlgElem:
 
 
 def poly_terms(f):
-    """A polynomial in the nilpotent variables as {texp: Fraction}.
+    """A polynomial in the nilpotent variables as {texp: coefficient}, each by _q.
 
     f is an AlgElem without parameters or a dict {texp: coefficient};
     equal exponents merge and zero coefficients drop.
@@ -205,7 +213,7 @@ def poly_terms(f):
         f = {texp: c for (_, texp), c in f.terms.items()}
     out = {}
     for k, c in dict(f).items():
-        vec_iadd(out, {tuple(k): Fraction(c)})
+        vec_iadd(out, {tuple(k): _q(c)})
     return out
 
 
@@ -340,33 +348,36 @@ class Algebra:
         for (pexp, texp), c in terms.items():
             by_p.setdefault(pexp, {})[texp] = by_p.get(pexp, {}).get(texp, 0) + c
         for pexp, vec in by_p.items():
-            vec = {k: Fraction(c) for k, c in vec.items() if c and sum(k) < self.N}
-            red = self._ring_rows.reduce(vec)
-            for texp, c in red.items():
-                if c:
-                    out[(pexp, texp)] = c
+            red = self._ring_rows.reduce({k: c for k, c in vec.items() if sum(k) < self.N})
+            out.update(((pexp, texp), c) for texp, c in red.items())     # reduce drops zeros
         return out
 
     def element(self, terms):
         clean = {}
         for (pexp, texp), c in terms.items():
-            vec_iadd(clean, {(tuple(pexp), tuple(texp)): Fraction(c)})
+            vec_iadd(clean, {(tuple(pexp), tuple(texp)): _q(c)})
         return AlgElem(self, self.normal_form(clean))
 
     def mul_terms(self, u, v):
+        """Normal form of u * v, for normal forms u, v (every caller's are): a monomial
+        ideal drops dead products as they form and needs no normal_form pass."""
+        N, gens = self.N, self.mono_gens
         out = {}
         for (p1, t1), c1 in u.items():
+            d1 = sum(t1)
             for (p2, t2), c2 in v.items():
-                if sum(t1) + sum(t2) >= self.N:
+                if d1 + sum(t2) >= N:
                     continue
-                k = (tuple(a + b for a, b in zip(p1, p2)),
-                     tuple(a + b for a, b in zip(t1, t2)))
+                t = tuple(map(add, t1, t2))
+                if gens and any(_divides(e, t) for e in gens):
+                    continue
+                k = (tuple(map(add, p1, p2)) if p1 else p1, t)
                 c = out.get(k, 0) + c1 * c2
                 if c:
                     out[k] = c
                 else:
                     out.pop(k, None)
-        return self.normal_form(out)
+        return out if self.monomial_ideal else self.normal_form(out)
 
     # -- element constructors ----------------------------------------------------
 
@@ -374,7 +385,7 @@ class Algebra:
         return AlgElem(self, {})
 
     def const(self, c):
-        c = Fraction(c)
+        c = _q(c)
         if not c:
             return self.zero()
         return AlgElem(self, {((0,) * self.n_params, (0,) * self.m): c})
@@ -414,7 +425,7 @@ class Algebra:
             raise ValueError("not a unit")
         (pexp, texp), c = next(iter(u.augmentation().terms.items()))
         s = AlgElem(self, {(pexp, texp): c})
-        s_inv = AlgElem(self, {(tuple(-e for e in pexp), texp): Fraction(1) / c})
+        s_inv = AlgElem(self, {(tuple(-e for e in pexp), texp): _q(Fraction(1, c))})
         return s, s_inv, u * s_inv - self.one()
 
     def unit_split(self, u):
@@ -441,13 +452,13 @@ class Algebra:
         """log(1+x) for nilpotent x, by the truncating alternating series."""
         if not x.is_nilpotent():
             raise ValueError("log1p requires a nilpotent argument")
-        return self._series(x, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
+        return self._series(x, lambda k: _q(Fraction((-1) ** (k + 1), k)) if k else 0)
 
     def exp_nil(self, y):
         """exp(y) = sum y^k / k! for nilpotent y."""
         if not y.is_nilpotent():
             raise ValueError("exp_nil requires a nilpotent argument")
-        return self._series(y, lambda k: Fraction(1, factorial(k)))
+        return self._series(y, lambda k: _q(Fraction(1, factorial(k))))
 
     # -- substitution -----------------------------------------------------------
 

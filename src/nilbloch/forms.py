@@ -58,7 +58,7 @@ from math import comb
 from operator import mul
 
 from .linalg import RowSpace, independent, vec_add, vec_iadd, vec_scale
-from .algebra import AlgElem, Algebra, _divides, monomials_of_degree
+from .algebra import AlgElem, Algebra, _divides, _q, monomials_of_degree
 
 # the most coordinates of one degree over a non-monomial ideal or in an EXPLICIT kernel
 MAX_WHOLE_COORDS = 450_000
@@ -223,7 +223,9 @@ def whole_budget(algebra, n):
     non-monomial ideal builds a block or an EXPLICIT kernel, or before such a table)."""
     count = comb(algebra.m, n) * len(algebra.nil_basis)
     if count > MAX_WHOLE_COORDS:
-        raise ValueError(f"degree {n} of m = {algebra.m}, N = {algebra.N} has {count} "
+        ideal = ", ".join(algebra.describe()["ideal"])
+        raise ValueError(f"degree {n} of m = {algebra.m}, N = {algebra.N}"
+                         f"{f' with ideal ({ideal})' if ideal else ''} has {count} "
                          f"coordinates, above the limit {MAX_WHOLE_COORDS}")
 
 
@@ -339,7 +341,7 @@ def canonical_terms(algebra, n, raw):
     by_word = {}
     for (mono, word), c in raw.items():
         if c:
-            by_word.setdefault(word, {})[mono] = Fraction(c)
+            by_word.setdefault(word, {})[mono] = _q(c)
     flat = {}
     for word, poly in by_word.items():
         for mono, c in algebra.normal_form(poly).items():

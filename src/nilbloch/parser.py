@@ -23,7 +23,7 @@ token.
 
 from fractions import Fraction
 
-from .algebra import Algebra, AlgElem
+from .algebra import Algebra, AlgElem, _q
 from .linalg import vec_iadd
 from .forms import Form
 from .ksymbols import SymbolSum
@@ -182,8 +182,8 @@ class _Parser:
                 den = self.next()
                 if not int(den.text):
                     raise ValueError(f"division by zero at {den.line}:{den.col}")
-                return ("num", Fraction(num, int(den.text)))
-            return ("num", Fraction(num))
+                return ("num", _q(Fraction(num, int(den.text))))
+            return ("num", num)
         if tok.kind == "IDENT":
             if tok.text in ("exp", "log") and self.peek().kind == "(":
                 self.next()
@@ -315,7 +315,7 @@ def parse_form(text, algebra):
     degree = None
     terms = {}
     for sign, (factors, wedge_tail) in groups:
-        coeff = Fraction(sign)
+        coeff = sign
         elem = algebra.one()
         idxs = []
         # differentials may arrive '*'-joined before the '∧' tail
@@ -408,7 +408,7 @@ def degree_bound(text):
 
 
 def polynomial_terms(text, m=None, bound=None):
-    """Parse a polynomial in the nilpotent variables into {texp: Fraction}.
+    """Parse a polynomial in the nilpotent variables into {texp: int or Fraction}.
 
     The text is evaluated by to_elem in Algebra(m, bound), which drops the
     terms of total degree >= bound inside every product and power as it is

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch.algebra import MAX_FORM_COORDS, Algebra, RingMap, power_algebra
+from nilbloch.algebra import MAX_FORM_COORDS, Algebra, RingMap, monomials_below, power_algebra
 
 A = Algebra(2, 4)
 B = Algebra(1, 5, params=[("a", False), ("b", True)])
@@ -215,3 +216,56 @@ def test_form_coordinate_budget():
         Algebra(9, 9)
     with pytest.raises(ValueError, match="over 2\\^1000000000 coordinates"):
         Algebra(10 ** 9, 10 ** 9)
+
+
+def _untruncated_product(alg, u, v):
+    """Reference u * v: every pair multiplied, nothing dropped, then one normal_form."""
+    raw = {}
+    for (p1, t1), c1 in u.items():
+        for (p2, t2), c2 in v.items():
+            k = (tuple(a + b for a, b in zip(p1, p2)), tuple(a + b for a, b in zip(t1, t2)))
+            raw[k] = raw.get(k, 0) + c1 * c2
+    return alg.normal_form({k: c for k, c in raw.items() if c})
+
+
+def _random_normal_form(alg, rng, pexps):
+    values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+    monos = [(p, t) for p in pexps for t in monomials_below(alg.m, alg.N)]
+    return alg.element({rng.choice(monos): rng.choice(values)
+                        for _ in range(rng.randint(0, 6))}).terms
+
+
+@pytest.mark.parametrize("alg, pexps", [
+    (Algebra(3, 4), [()]),
+    (Algebra(2, 5, ideal=[{(2, 1): 1}, {(0, 3): 1}], params=[("a", False)]),
+     [(0,), (1,), (2,)]),
+    (Algebra(2, 5, ideal=[{(1, 2): 1}], params=[("a", False), ("b", True)]),
+     [(i, j) for i in range(2) for j in range(-2, 3)]),
+    (Algebra(2, 6, ideal=[{(2, 0): 1, (0, 3): 1}]), [()]),
+    (Algebra(2, 7, ideal=[{(4, 0): 1, (2, 3): 1, (0, 5): 1}]), [()]),
+])
+def test_mul_terms_matches_normal_form_of_untruncated_product(alg, pexps):
+    rng = random.Random(17)
+    for _ in range(150):
+        u = _random_normal_form(alg, rng, pexps)
+        v = _random_normal_form(alg, rng, pexps)
+        prod = alg.mul_terms(u, v)
+        assert prod == _untruncated_product(alg, u, v)
+        assert prod == alg.normal_form(prod)
+        assert all(c and type(c) in (int, Fraction) for c in prod.values())
+
+
+def test_mul_terms_products_that_cancel_to_zero():
+    squares = Algebra(2, 5, ideal=[{(2, 0): 1}, {(0, 2): 1}])
+    binomial = Algebra(2, 5, ideal=[{(2, 0): 1, (0, 2): -1}])
+    for alg in (squares, binomial):
+        # t1 t2 cancels inside the loop; t1^2 - t2^2 lies in the ideal
+        t1, t2 = alg.nil(0), alg.nil(1)
+        assert alg.mul_terms((t1 + t2).terms, (t1 - t2).terms) == {}
+    C = Algebra(2, 5, ideal=[{(2, 1): 1}], params=[("b", True)])
+    t1, t2, b = C.nil(0), C.nil(1), C.var("b")
+    assert C.mul_terms((b * t1 ** 2).terms, (b ** -1 * t2).terms) == {}    # dead monomial
+    assert C.mul_terms((t1 ** 3).terms, (t1 * t2).terms) == {}      # degree 5 = N
+    u, v = (b + t1).terms, (b ** -1 - b ** -2 * t1).terms      # t1 b^-1 cancels
+    assert C.mul_terms(u, v) == _untruncated_product(C, u, v)
+    assert C.mul_terms(u, v) == (C.one() - b ** -2 * t1 ** 2).terms

@@ -302,6 +302,21 @@ def test_cli_table_and_whole_block_budgets_exit_two(capsys, tmp_path):
         assert f"has {count} " in err and f"above the limit {limit}" in err
 
 
+def test_cli_budget_message_names_the_ideal(capsys):
+    """An acyclic EXPLICIT table over a monomial algebra checks only R/I, so the
+    message must say that the count is of R/I's ideal, not of the given algebra."""
+    from math import comb
+    code, out, err = run_cli(capsys, ["cohom", "--m", "8", "--N", "8", "--relative",
+                                      "explicit:t1^7+t2^7"])
+    assert code == 2 and not out
+    assert (f"degree 4 of m = 8, N = 8 with ideal (t1^7+t2^7) has {comb(8, 4) * 6434} "
+            "coordinates") in err
+    # an algebra without an ideal names none
+    code, _, err = run_cli(capsys, ["cohom", "--m", "8", "--N", "8", "--relative",
+                                    "explicit:t1^4+t1^2*t2^3+t2^5"])
+    assert code == 2 and f"degree 4 of m = 8, N = 8 has {comb(8, 4) * 6435} " in err
+
+
 def test_cli_counted_explicit_table_needs_no_budget(capsys):
     """w' = (1, ..., 1) for explicit:t1: counted, with no kernel of the 1.65M coordinates."""
     t0 = time.perf_counter()
@@ -629,3 +644,34 @@ def test_fuzzed_text_inputs_never_crash(command, text, other, m, N):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
         code = cli.main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
+
+
+def _exact(terms):
+    """Some coefficients, each an int or a Fraction, never a float or a bool."""
+    return terms and all(type(c) in (int, Fraction) for c in terms.values())
+
+
+def test_coefficients_stay_exact_rationals():
+    from nilbloch.forms import Form
+    A = Algebra(2, 5, params=[("a", False), ("b", True)])
+    zero = ((0, 0), (0, 0))
+    t1 = ((0, 0), (1, 0))
+    for text in ("1+2*t1-3/4*t2^2", "b^-2*(1+a*t1)", "exp(1/3*t1)*log(1+t2)", "(2+t1)/(4-t2)"):
+        assert _exact(parse_element(text, A).terms), text
+    assert _exact(parse_form("-1/2*t1*dt1∧dt2 + 3*b^-1*t2*dt1∧db", A).terms)
+    for c, want in ((0.5, Fraction(1, 2)), (2.0, 2), (True, 1), (Fraction(6, 3), 2)):
+        for terms in (A.element({t1: c}).terms, A.const(c).terms,
+                      Form(A, 1, {(t1, (1,)): c}).terms):
+            assert _exact(terms) and list(terms.values()) == [want], (c, terms)
+    assert Form(A, 1, {(zero, (0,)): 0.5}).terms == {(zero, (0,)): Fraction(1, 2)}
+    R = Algebra(2, 5)
+    for text in ("{1+t1+t2^2, 1-t1*t2}", "{1/2+3/2*t1, 2/3-t2^2}", "{exp(t1*t2), 1+t1}"):
+        rep = bloch(parse_symbol_sum(text, R)).rep
+        assert _exact(rep.terms), text
+
+
+def test_cli_bloch_witness_values_are_json_strings(capsys):
+    for symbol in ("{1+t1, 1+t2}", "{1/2+3/2*t1, 2/3-t2^2}"):
+        code, out, _ = run_cli(capsys, ["bloch", "--m", "2", "--N", "5", "--symbol", symbol])
+        witness = json.loads(out)["witness"]
+        assert code == 0 and witness and all(isinstance(v, str) for v in witness.values())
