@@ -58,9 +58,12 @@ def _divides(a, b):
 
 
 def _q(c):
-    """c as an exact rational: an int when integral, else a Fraction."""
-    if type(c) is not int and (c := Fraction(c)).denominator == 1:
-        return c.numerator
+    """c as an exact rational: an int when integral, else a Fraction (kept as given)."""
+    if type(c) is not int:
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
     return c
 
 

@@ -80,10 +80,11 @@ def _eliminate(rows, ncols):
         pivot_row = work.pop(i)
         inv = Fraction(1) / pivot_row[col]
         pivot_row = [x * inv for x in pivot_row]
+        support = [k for k in range(col, ncols) if pivot_row[k]]
         for r in work:
             f = r[col]
             if f:
-                for k in range(col, ncols):
+                for k in support:
                     r[k] -= f * pivot_row[k]
         echelon.append((col, pivot_row))
     return echelon

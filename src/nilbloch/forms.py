@@ -38,15 +38,15 @@ alive, 0 when alpha - 1_S is dead, and otherwise one small exact
 elimination, _fine_dims(s, k, covers), kept in one bounded process-wide
 memo as its key names no algebra: I is dead iff |I| <= k = |alpha| - N or
 I lies in a cover {v in S: alpha_v > g_v} of a generator g dividing alpha
-(the key keeps the maximal covers alone). Without J no alpha is listed:
-C(m, s) C(i - 1, s - 1) of them have |supp alpha| = s and |alpha| = i
-(s <= i <= N - 1 + s), all with one key. J sees alpha only through its
-capped profile gamma_v = min(alpha_v, c_v), c_v = 1 + max_g g_v, which
-fixes S, the generators dividing alpha, their covers and whether
-alpha - 1_S is alive. So graded_dims lists, for each generator g, the
-gamma >= g with |gamma - 1_S| < N; with u coordinates at their cap, gamma
-stands for C(i - |gamma| + u - 1, u - 1) alpha of degree i, all with one
-key, whose J-free share it takes off and whose own it adds.
+(the key keeps the maximal covers of more than k elements alone). Without
+J no alpha is listed: C(m, s) C(i - 1, s - 1) of them have |supp alpha| =
+s and |alpha| = i (s <= i <= N - 1 + s), all with one key. J sees alpha
+only through its capped profile gamma_v = min(alpha_v, c_v), c_v = 1 +
+max_g g_v, which fixes S, the generators dividing alpha, their covers and
+whether alpha - 1_S is alive. So graded_dims lists, for each generator g,
+the gamma >= g with |gamma - 1_S| < N; with u coordinates at their cap,
+gamma stands for C(i - |gamma| + u - 1, u - 1) alpha of degree i, all with
+one key, whose J-free share it takes off and whose own it adds.
 FormBlock stays the only source of bases and canonical coordinates.
 """
 
@@ -276,9 +276,12 @@ def graded_dims(algebra):
                 for i in range(low, N + s if u else low + 1):
                     # the alpha >= gamma of degree i that raise only the capped coordinates
                     times = comb(i - low + u - 1, u - 1) if u else 1
-                    counts[(i, (s, max(i - N, -1), frozenset()))] -= times
+                    k = max(i - N, -1)
+                    counts[(i, (s, k, frozenset()))] -= times
                     if (1 << s) - 1 not in covers:    # beta = alpha - 1_S alive
-                        counts[(i, (s, max(i - N, -1), covers))] += times
+                        # a cover of at most k elements holds subsets dead by degree only
+                        live = frozenset(U for U in covers if U.bit_count() > k)
+                        counts[(i, (s, k, live))] += times
         dims = Counter()
         for (i, key), times in counts.items():
             for n, dim in enumerate(_fine_dims(*key) if times else ()):
@@ -418,12 +421,13 @@ def form_of_element(elem):
                 canonical=True)
 
 
-def d(form):
-    """Exterior derivative."""
-    A = form.algebra
-    m = A.m
+def d_terms(algebra, terms):
+    """Raw (not yet canonical) terms of d of a term dict. Its coefficients divide the
+    input's, so over a monomial ideal (alive monomials are closed under division)
+    normal-form input gives normal-form coefficients, as wedge_terms requires."""
+    m = algebra.m
     raw = {}
-    for ((pexp, texp), word), c in form.terms.items():
+    for ((pexp, texp), word), c in terms.items():
         exps = texp + pexp      # indexed like wedge words: dt_v, then da_j
         for g, e in enumerate(exps):
             if not e:
@@ -434,7 +438,12 @@ def d(form):
             low = exps[:g] + (e - 1,) + exps[g + 1:]
             k = ((low[m:], low[:m]), new)
             raw[k] = raw.get(k, 0) + c * e * sign
-    return Form(A, form.degree + 1, raw)
+    return raw
+
+
+def d(form):
+    """Exterior derivative."""
+    return Form(form.algebra, form.degree + 1, d_terms(form.algebra, form.terms))
 
 
 def d_elem(elem):
@@ -442,15 +451,20 @@ def d_elem(elem):
 
 
 def wedge_terms(algebra, f, g):
-    """Raw (not yet canonical) terms of the wedge of two term dicts."""
+    """Raw (not yet canonical) terms of the wedge of two term dicts, one mul_terms per
+    pair of wedge words. Each word's coefficients must be a normal form, as mul_terms
+    requires, or the ideal non-monomial: mul_terms then normalizes its product."""
+    f_words, g_words = {}, {}
+    for by_word, terms in ((f_words, f), (g_words, g)):
+        for (mono, word), c in terms.items():
+            by_word.setdefault(word, {})[mono] = c
     raw = {}
-    for (m1, w1), c1 in f.items():
-        for (m2, w2), c2 in g.items():
+    for w1, p1 in f_words.items():
+        for w2, p2 in g_words.items():
             sign, word = merge_words(w1, w2)
-            if not sign:
-                continue
-            prod = algebra.mul_terms({m1: c1}, {m2: c2 * sign})
-            vec_iadd(raw, {(mono, word): c for mono, c in prod.items()})
+            if sign:
+                prod = algebra.mul_terms(p1, p2)
+                vec_iadd(raw, {(mono, word): c for mono, c in prod.items()}, sign)
     return raw
 
 
@@ -470,11 +484,13 @@ def scale(elem, form):
 
 
 def dlog_base(s):
-    """dlog of a unit s = c*a^e of the base: sum_j e_j a_j^-1 da_j, 0 without parameters."""
+    """dlog of a unit s = c*a^e of the base: sum_j e_j a_j^-1 da_j, 0 without parameters.
+
+    Canonical as built: every relation row has a dt in its word, and a_j^-1 is alive."""
     A = s.algebra
     ((pexp, texp), _), = s.terms.items()
     return Form(A, 1, {((tuple(-1 if k == j else 0 for k in range(A.n_params)), texp),
-                        (A.m + j,)): e for j, e in enumerate(pexp) if e})
+                        (A.m + j,)): e for j, e in enumerate(pexp) if e}, canonical=True)
 
 
 def dlog(u):

@@ -9,15 +9,17 @@ and evaluates each remaining sub-tensor at its first nilpotent slot:
     {v_1,..,v_i, 1+x, v_{i+2},..} |-> (-1)^i log(1+x) * wedge of dlog(v_j)
 
 Over Q log exists on 1+x, and dlog(1+x) = d log(1+x) exactly in Omega_R,
-so each distinct entry costs one logarithm per call: s, x, log(1+x),
+so each distinct entry costs one logarithm per symbol: s, x, log(1+x),
 dlog s (sum of e_j da_j / a_j, 0 without parameters) and d log(1+x) are
-computed once and reused by every sub-tensor. Only sub-tensors that can
-contribute are visited: a slot offers 1+x only if x != 0 and s only if
-dlog s != 0, and none is visited once the arity exceeds m + params + 1,
-where Omega^n = 0. Terms are wedged and summed raw, then canonicalized once
-in Omega^n/d(Omega^{n-1}) relative to the full nilpotent ideal. Evaluating
-at the last nilpotent slot instead is kept as an independence check; the
-two agree as classes.
+computed once, kept in the symbol's memo and reused by every sub-tensor and
+by both slots. Only sub-tensors that can contribute are visited: a slot
+offers 1+x only if x != 0 and s only if dlog s != 0, and none is visited
+once the arity exceeds m + params + 1, where Omega^n = 0. Every part stays
+raw terms; they are wedged and summed raw, then canonicalized once in
+Omega^n/d(Omega^{n-1}) relative to the full nilpotent ideal. The relations
+form a dg-ideal, so canonicalizing only the sum gives the same class.
+Evaluating at the last nilpotent slot instead is kept as an independence
+check; the two agree as classes.
 """
 
 from dataclasses import dataclass
@@ -34,11 +36,12 @@ from . import derham as dr
 class SymbolSum:
     """Integer combination of unit tuples of one arity."""
 
-    __slots__ = ("algebra", "arity", "terms")
+    __slots__ = ("algebra", "arity", "terms", "_parts")
 
     def __init__(self, algebra, arity, terms):
         self.algebra = algebra
         self.arity = arity
+        self._parts = {}        # entry -> its Bloch parts, filled by bloch
         clean = []
         for coeff, tup in terms:
             if len(tup) != arity:
@@ -136,15 +139,14 @@ def bloch(s, slot="first"):
     """Bloch image of a symbol sum, canonical in Omega^n/d relative full."""
     A = s.algebra
     n = s.arity - 1
-    memo = {}
+    memo = s._parts
 
     def parts(u):
         """(s, x, log(1+x), dlog s, d log(1+x)) for u = s*(1+x); forms as raw terms."""
         if u not in memo:
             base, x = A.unit_split(u)
-            log = A.log1p(x)
-            memo[u] = (base, x, fm.form_of_element(log).terms,
-                       fm.dlog_base(base).terms, fm.d_elem(log).terms)
+            log = fm.form_of_element(A.log1p(x)).terms
+            memo[u] = (base, x, log, fm.dlog_base(base).terms, fm.d_terms(A, log))
         return memo[u]
 
     raw = {}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch.algebra import MAX_FORM_COORDS, Algebra, RingMap, monomials_below, power_algebra
+from nilbloch.algebra import (MAX_FORM_COORDS, Algebra, RingMap, _q, monomials_below,
+                              power_algebra)
 
 A = Algebra(2, 4)
 B = Algebra(1, 5, params=[("a", False), ("b", True)])
@@ -269,3 +270,11 @@ def test_mul_terms_products_that_cancel_to_zero():
     u, v = (b + t1).terms, (b ** -1 - b ** -2 * t1).terms      # t1 b^-1 cancels
     assert C.mul_terms(u, v) == _untruncated_product(C, u, v)
     assert C.mul_terms(u, v) == (C.one() - b ** -2 * t1 ** 2).terms
+
+
+def test_q_keeps_a_fraction_and_converts_the_rest():
+    half = Fraction(1, 2)
+    assert _q(half) is half
+    assert _q(Fraction(4, 2)) == 2 and type(_q(Fraction(4, 2))) is int
+    assert _q(0.5) == half and type(_q(0.5)) is Fraction
+    assert _q(3) == 3 and type(_q(True)) is int

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilbloch.algebra import Algebra, RingMap
@@ -406,3 +406,18 @@ def test_weight_splits_quasi_homogeneous_degrees():
     gap = NON_MONOMIAL_ALGEBRAS["gap_quotient"]()
     assert gap.weight == (0, 0)
     assert all(len(block_grades(gap, n)) == 1 for n in range(gap.m + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 4), data=st.data())
+def test_graded_dims_match_form_blocks_with_covers_dead_by_degree(m, data):
+    # a squarefree g on S, |S| >= 2: alpha = g + (N - 1) e_v has the cover {v}, of
+    # at most k = |alpha| - N = |S| - 1 elements, when (N - 1) e_v is alive
+    N = data.draw(st.integers(2, 6))
+    S = data.draw(st.sets(st.integers(0, m - 1), min_size=2))
+    g = tuple(int(v in S) for v in range(m))
+    exps = st.lists(st.integers(0, N), min_size=m, max_size=m).map(tuple).filter(any)
+    A = Algebra(m, N, ideal=[{e: 1} for e in [g] + data.draw(st.lists(exps, max_size=2))])
+    v = min(S)
+    assume(g in A.mono_gens and not A._mono_dead(tuple((N - 1) * (w == v) for w in range(m))))
+    _assert_graded_dims_match_blocks(A)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilbloch.algebra import Algebra
+from nilbloch.linalg import vec_iadd
 from nilbloch import forms as fm
 from nilbloch.forms import Form, d, form_str, zero_form
 from nilbloch.derham import FULL, quotient_class
@@ -315,3 +317,92 @@ def test_bloch_matches_reference(s, slot):
     cl = bloch(s, slot)
     assert cl.rep == rep
     assert cl.base == base
+
+
+GAP = Algebra(2, 6, ideal=[{(4, 0): 1, (2, 3): 1, (0, 5): 1}])
+READ_PATH_ALGEBRAS = [Algebra(2, 4), Algebra(3, 4, ideal=[{(1, 1, 0): 1}, {(0, 0, 2): 1}]),
+                      Algebra(2, 3, params=[("b", True)]),
+                      Algebra(2, 5, ideal=[{(2, 0): 1, (0, 3): 1}]), GAP]
+
+
+def _bloch_canonical_steps(s, slot):
+    """The Bloch class with every piece a canonical Form: log(1+x) wedge the dlogs."""
+    A = s.algebra
+    out = fm.zero_form(A, s.arity - 1)
+    for coeff, tup in s.terms:
+        splits = [A.unit_split(u) for u in tup]
+        for nil in product((False, True), repeat=s.arity):
+            picks = [i for i in range(s.arity) if nil[i]]
+            if not picks or any(not splits[i][1].terms for i in picks):
+                continue
+            pick = picks[0] if slot == "first" else picks[-1]
+            piece = fm.form_of_element(A.log1p(splits[pick][1]))
+            for j, (sj, xj) in enumerate(splits):
+                if j != pick:
+                    piece = fm.wedge(piece, fm.dlog(A.one() + xj if nil[j] else sj))
+            out = out + Fraction(coeff * (-1) ** pick) * piece
+    return quotient_class(out, FULL)
+
+
+@st.composite
+def _read_path_symbol(draw):
+    A = draw(st.sampled_from(READ_PATH_ALGEBRAS))
+    arity = draw(st.integers(2, 3))
+    terms = draw(st.lists(st.tuples(st.sampled_from([-2, -1, 1, 3]),
+                                    st.tuples(*[_unit(A)] * arity)), min_size=1, max_size=2))
+    return SymbolSum(A, arity, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_read_path_symbol(), slot=st.sampled_from(["first", "last"]))
+def test_bloch_from_raw_parts_matches_canonical_steps(s, slot):
+    assert bloch(s, slot).rep == _bloch_canonical_steps(s, slot)
+
+
+def _wedge_per_term(A, f, g):
+    raw = {}
+    for (m1, w1), c1 in f.items():
+        for (m2, w2), c2 in g.items():
+            sign, word = fm.merge_words(w1, w2)
+            if sign:
+                prod = A.mul_terms({m1: c1}, {m2: c2 * sign})
+                vec_iadd(raw, {(mono, word): c for mono, c in prod.items()})
+    return raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wedge_terms_matches_per_term_product(data):
+    A = data.draw(st.sampled_from(READ_PATH_ALGEBRAS))
+    u, v = data.draw(_unit(A)), data.draw(_unit(A))
+    log = fm.form_of_element(A.log1p(A.unit_split(u)[1])).terms
+    dlog_u = fm.d_terms(A, log)     # raw, as bloch wedges it
+    dlog_v = fm.dlog(v).terms
+    for f, g in [(log, dlog_v), (dlog_u, dlog_v), (dlog_v, dlog_u),
+                 (fm.wedge_terms(A, dlog_u, dlog_v), dlog_v)]:
+        assert fm.wedge_terms(A, f, g) == _wedge_per_term(A, f, g)
+
+
+def test_bloch_parts_are_split_once_per_symbol():
+    A = Algebra(2, 4, params=[("b", True)])
+    t1, t2, b = A.var("t1"), A.var("t2"), A.var("b")
+    entries = (b * (1 + t1 + t2 ** 2), 1 - t1 * t2, 2 * b ** -1 * (1 + t2))
+    s = SymbolSum(A, 3, [(1, entries), (-2, entries[::-1])])
+    first = bloch(s, "first")
+    memo = dict(s._parts)
+    assert set(memo) == set(entries)
+    last = bloch(s, "last")
+    assert all(s._parts[u] is parts for u, parts in memo.items())   # not split again
+    fresh = bloch(SymbolSum(A, 3, s.terms), "last")
+    assert (last.rep, last.base) == (fresh.rep, fresh.base)
+    assert last.rep == first.rep
+
+
+def test_symbol_arithmetic_starts_an_empty_memo():
+    A = Algebra(2, 4)
+    t1, t2 = A.gens()
+    s = symbol(1 + t1, 1 - t2 + t1 * t2)
+    bloch(s)
+    both = s + swap_symbol(s)
+    assert s._parts and both._parts == {} and both._parts is not s._parts
+    assert bloch(both).is_zero() and len(both._parts) == 2
