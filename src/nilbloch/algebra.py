@@ -71,7 +71,7 @@ def _ideal_rows(m, gens, bound):
     """Span of the multiples u*g (u a monomial, g in gens) cut to degree < bound."""
     rows = RowSpace(order=lambda e: (sum(e), e))
     for g in gens:
-        for u in monomials_below(m, bound):
+        for u in monomials_below(m, bound - min(map(sum, g))):   # u*g is cut past this
             rows.insert({tuple(x + y for x, y in zip(u, e)): c
                          for e, c in g.items() if sum(u) + sum(e) < bound})
     return rows
@@ -429,7 +429,7 @@ class Algebra:
         (pexp, texp), c = next(iter(u.augmentation().terms.items()))
         s = AlgElem(self, {(pexp, texp): c})
         s_inv = AlgElem(self, {(tuple(-e for e in pexp), texp): _q(Fraction(1, c))})
-        return s, s_inv, u * s_inv - self.one()
+        return s, s_inv, (u if c == 1 and not any(pexp) else u * s_inv) - self.one()
 
     def unit_split(self, u):
         """u = s*(1+x) with s a unit of S and x nilpotent; returns (s, x)."""

@@ -2,7 +2,8 @@
 
 Everything in this module works on raw coordinate vectors over the full
 monomial basis of Q[t_1..t_m] below the truncation bound, with no grading,
-no normal forms and no sparsity tricks.  It exists as an independent route
+no normal forms and no sparsity tricks: rows are full-length lists, and the
+only work skipped is multiplication by zero.  It exists as an independent route
 to the same dimensions and exactness verdicts that the blocked sparse
 engine computes, and as the oracle that pins regression constants before
 they are frozen into tests.
@@ -13,7 +14,8 @@ relative generators) pair are cached, and exactness probes and
 stabilization monomials are reduced against them.
 
 Only parameter-free algebras are supported here; the coefficient field is
-Q throughout.  Polynomials are dicts {exponent tuple: Fraction}.
+Q throughout.  Polynomials are dicts {exponent tuple: int or Fraction}; integral
+coefficients are kept as ints.
 """
 
 import itertools
@@ -41,7 +43,7 @@ def poly_mul(p, q):
     for ea, ca in p.items():
         for eb, cb in q.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e, Fraction(0)) + ca * cb
+            c = out.get(e, 0) + ca * cb
             if c:
                 out[e] = c
             elif e in out:
@@ -58,7 +60,7 @@ def poly_diff(p, i):
     for e, c in p.items():
         if e[i] > 0:
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            out[e2] = out.get(e2, Fraction(0)) + c * e[i]
+            out[e2] = out.get(e2, 0) + c * e[i]
     return {e: c for e, c in out.items() if c}
 
 
@@ -78,9 +80,11 @@ def _eliminate(rows, ncols):
         else:
             continue
         pivot_row = work.pop(i)
-        inv = Fraction(1) / pivot_row[col]
-        pivot_row = [x * inv for x in pivot_row]
         support = [k for k in range(col, ncols) if pivot_row[k]]
+        if pivot_row[col] != 1:
+            inv = Fraction(1) / pivot_row[col]
+            for k in support:
+                pivot_row[k] *= inv
         for r in work:
             f = r[col]
             if f:
@@ -101,7 +105,8 @@ def _in_echelon(vec, echelon):
         f = v[col]
         if f:
             for k in range(col, len(v)):
-                v[k] -= f * row[k]
+                if row[k]:
+                    v[k] -= f * row[k]
     return not any(v)
 
 
@@ -127,10 +132,11 @@ class DenseModel:
     def __init__(self, m, N, gens):
         self.m = m
         self.N = N
-        self.gens = [dict(g) for g in gens]
+        self.gens = [{e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+                      for e, c in g.items()} for g in gens]
         self.monos = monomials_below(m, N)
         self.mono_index = {e: i for i, e in enumerate(self.monos)}
-        cutoff = [{e: Fraction(1)} for e in monomials_of_degree(m, N)]
+        cutoff = [{e: 1} for e in monomials_of_degree(m, N)]
         self.all_gens = self.gens + cutoff
         self._coords = {}
         self._coord_index = {}
@@ -159,7 +165,7 @@ class DenseModel:
 
     def _vec(self, n, terms):
         idx = self.coord_index(n)
-        row = [Fraction(0)] * len(self.coords(n))
+        row = [0] * len(self.coords(n))
         for (e, w), c in terms.items():
             if sum(e) < self.N and c:
                 row[idx[(self.mono_index[e], w)]] += c
@@ -176,8 +182,11 @@ class DenseModel:
         sub_wedges = list(itertools.combinations(range(self.m), n - 1)) if n else []
         for g in gens:
             dg = [poly_diff(g, i) for i in range(self.m)]
+            low = min(map(sum, g), default=self.N)
             for u in self.monos:
-                prod = poly_truncate(poly_mul({u: Fraction(1)}, g), self.N)
+                if sum(u) + low > self.N:   # monos ascend: u*g, u*dg cut from here on
+                    break
+                prod = poly_truncate(poly_mul({u: 1}, g), self.N)
                 if prod:
                     for w in wedges:
                         rows.append(self._vec(n, {(e, w): c for e, c in prod.items()}))
@@ -191,9 +200,9 @@ class DenseModel:
                         sign, w = self._insert_sign(i, wp)
                         if sign is None:
                             continue
-                        part = poly_truncate(poly_mul({u: Fraction(1)}, dgi), self.N)
+                        part = poly_truncate(poly_mul({u: 1}, dgi), self.N)
                         for e, c in part.items():
-                            terms[(e, w)] = terms.get((e, w), Fraction(0)) + sign * c
+                            terms[(e, w)] = terms.get((e, w), 0) + sign * c
                     if any(terms.values()):
                         rows.append(self._vec(n, terms))
         rows = [r for r in rows if any(r)]
@@ -218,12 +227,12 @@ class DenseModel:
             if sign is None:
                 continue
             e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            terms[(e2, w)] = terms.get((e2, w), Fraction(0)) + sign * e[i]
+            terms[(e2, w)] = terms.get((e2, w), 0) + sign * e[i]
         return self._vec(n + 1, terms)
 
     def d_vec(self, n, row):
         """Coordinates of d applied to a degree-n coordinate vector."""
-        out = [Fraction(0)] * len(self.coords(n + 1))
+        out = [0] * len(self.coords(n + 1))
         for coord, c in zip(self.coords(n), row):
             if c:
                 for k, v in enumerate(self.d_row(n, coord)):
@@ -242,8 +251,8 @@ class DenseModel:
             idx = self.coord_index(n)
             for (mono_i, w) in self.coords(n):
                 if n >= 1 or sum(self.monos[mono_i]) >= 1:
-                    row = [Fraction(0)] * len(self.coords(n))
-                    row[idx[(mono_i, w)]] = Fraction(1)
+                    row = [0] * len(self.coords(n))
+                    row[idx[(mono_i, w)]] = 1
                     rows.append(row)
             return rows + self.relation_rows(n)
         return self.relation_rows(n, extra_gens=rel_gens)
@@ -317,8 +326,8 @@ def stabilized_quotient(gens_of, m, start_N, N_max):
             degree_monos = monomials_of_degree(m, d)
             ok = True
             for e in degree_monos:
-                vec = [Fraction(0)] * ncols
-                vec[model.mono_index[e]] = Fraction(1)
+                vec = [0] * ncols
+                vec[model.mono_index[e]] = 1
                 if not _in_echelon(vec, ech):
                     ok = False
                     break

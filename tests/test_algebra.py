@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch.algebra import (MAX_FORM_COORDS, Algebra, RingMap, _q, monomials_below,
-                              power_algebra)
+from nilbloch.algebra import (MAX_FORM_COORDS, Algebra, RingMap, _ideal_rows, _q,
+                              monomials_below, poly_terms, power_algebra)
+from nilbloch.linalg import RowSpace
 
 A = Algebra(2, 4)
 B = Algebra(1, 5, params=[("a", False), ("b", True)])
@@ -278,3 +279,29 @@ def test_q_keeps_a_fraction_and_converts_the_rest():
     assert _q(Fraction(4, 2)) == 2 and type(_q(Fraction(4, 2))) is int
     assert _q(0.5) == half and type(_q(0.5)) is Fraction
     assert _q(3) == 3 and type(_q(True)) is int
+
+
+def _ideal_rows_every_u(m, gens, bound):
+    """_ideal_rows as it would be with every monomial u below the bound listed."""
+    rows = RowSpace(order=lambda e: (sum(e), e))
+    for g in gens:
+        for u in monomials_below(m, bound):
+            rows.insert({tuple(x + y for x, y in zip(u, e)): c
+                         for e, c in g.items() if sum(u) + sum(e) < bound})
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_ideal_rows_match_listing_every_monomial(data):
+    m = data.draw(st.integers(1, 3))
+    bound = data.draw(st.integers(2, 6))
+    exps = st.tuples(*[st.integers(0, 3)] * m).filter(any)
+    gen = st.dictionaries(exps, coeffs.filter(bool), min_size=2, max_size=3)
+    gens = data.draw(st.lists(gen, min_size=1, max_size=3))
+    unit = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    mixed = {unit[0]: 1, tuple(3 * x for x in unit[-1]): -2}       # degrees 1 and 3
+    high = {tuple(bound * x for x in unit[0]): 1, tuple((bound + 1) * x for x in unit[-1]): 3}
+    gens = [poly_terms(g) for g in gens + [mixed, high]]
+    want = _ideal_rows_every_u(m, gens, bound)
+    assert _ideal_rows(m, gens, bound).rows == want.rows

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilbloch import dense
-from nilbloch.dense import (DenseModel, _rank, milnor_number, quotient_dimension,
+from nilbloch.dense import (DenseModel, _eliminate, _in_echelon, _rank, milnor_number,
+                            poly_diff, poly_mul, poly_truncate, quotient_dimension,
                             stabilized_quotient, tyurina_number)
 
 CURVE = {(4, 0): 1, (2, 3): 1, (0, 5): 1}
@@ -160,3 +163,61 @@ def test_relation_rows_differentiate_each_generator_once(monkeypatch):
     model = DenseModel(2, 5, [CURVE])
     model.relation_rows(1)
     assert len(calls) == 2 * len(model.all_gens)
+
+
+def _relation_rows_every_u(model, n, extra_gens=()):
+    """relation_rows with every monomial u listed, truncated products included."""
+    rows = []
+    for g in model.all_gens + [dict(g) for g in extra_gens]:
+        dg = [poly_diff(g, i) for i in range(model.m)]
+        for u in model.monos:
+            prod = poly_truncate(poly_mul({u: 1}, g), model.N)
+            for w in combinations(range(model.m), n):
+                rows.append(model._vec(n, {(e, w): c for e, c in prod.items()}))
+            for wp in combinations(range(model.m), n - 1) if n else ():
+                terms = {}
+                for i, dgi in enumerate(dg):
+                    if i not in wp:
+                        w, sign = tuple(sorted(wp + (i,))), (-1) ** sum(j < i for j in wp)
+                        for e, c in poly_truncate(poly_mul({u: 1}, dgi), model.N).items():
+                            terms[(e, w)] = terms.get((e, w), 0) + sign * c
+                rows.append(model._vec(n, terms))
+    return rows
+
+
+FERMAT = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}
+RELATION_CASES = [(2, 7, [CURVE], ()), (3, 5, [FERMAT], ()),
+                  (2, 6, [{(3, 0): 1, (1, 2): Fraction(-2)}],
+                   [{(1, 0): 1, (0, 2): Fraction(1, 2)}, {(0, 5): 3}])]
+
+
+@pytest.mark.parametrize("m, N, gens, extra", RELATION_CASES)
+def test_relation_rows_match_listing_every_monomial(m, N, gens, extra):
+    model = DenseModel(m, N, gens)
+    for n in range(m + 1):
+        ncols = len(model.coords(n))
+        want = _eliminate(_relation_rows_every_u(model, n, extra), ncols)
+        got = _eliminate(model.relation_rows(n, extra), ncols)
+        assert [col for col, _ in got] == [col for col, _ in want], n
+        assert all(_in_echelon(row, want) for _, row in got), n
+
+
+def test_int_and_fraction_coefficients_give_one_model():
+    rel = [{(1, 0): 1}, {(0, 2): Fraction(1)}]
+    probes = [(1, {((1, 0), (0,)): 2}), (1, {((0, 0), (1,)): Fraction(1, 3)}),
+              (2, {((0, 0), (0, 1)): 1}), (2, {((2, 0), (0, 1)): Fraction(5)})]
+    as_int = DenseModel(2, 6, [CURVE, {(3, 0): 2, (1, 1): -1}])
+    as_frac = DenseModel(2, 6, [{e: Fraction(c) for e, c in CURVE.items()},
+                                {(3, 0): Fraction(4, 2), (1, 1): Fraction(-1)}])
+    assert all(type(c) is int for g in as_frac.gens for c in g.values())
+    for rel_gens in (None, rel):
+        assert as_int.cohomology(rel_gens) == as_frac.cohomology(rel_gens)
+        assert [as_int.is_exact(n, t, rel_gens) for n, t in probes] == \
+            [as_frac.is_exact(n, t, rel_gens) for n, t in probes]
+
+
+def test_eliminate_keeps_int_entries_of_a_monic_row():
+    (c0, monic), (c1, scaled) = _eliminate([[1, 2, 0, -3], [2, 1, 1, 0]], 4)
+    assert (c0, c1) == (0, 1)
+    assert monic == [1, 2, 0, -3] and all(type(x) is int for x in monic)
+    assert scaled == [0, 1, Fraction(-1, 3), -2] and type(scaled[1]) is Fraction

@@ -289,11 +289,11 @@ REFERENCE_ALGEBRAS = [Algebra(1, 4), Algebra(2, 3),
 
 
 @st.composite
-def _unit(draw, A):
-    """s*(1+x): s = c*b^e over the invertible parameters, x nilpotent or 0."""
-    zero_t = (0,) * A.m
-    spexp = tuple(draw(st.integers(-2, 2)) if p.invertible else 0 for p in A.params)
-    s = A.element({(spexp, zero_t): draw(st.sampled_from([1, 1, 2, Fraction(-1, 3)]))})
+def _unit(draw, A, s=None):
+    """s*(1+x) with x nilpotent or 0; s, unless given, is c*b^e over the invertible parameters."""
+    if s is None:
+        spexp = tuple(draw(st.integers(-2, 2)) if p.invertible else 0 for p in A.params)
+        s = A.element({(spexp, (0,) * A.m): draw(st.sampled_from([1, 1, 2, Fraction(-1, 3)]))})
     pexps = st.tuples(*(st.integers(-1 if p.invertible else 0, 1) for p in A.params))
     texps = st.sampled_from([e for e in A.nil_basis if sum(e)])
     x = draw(st.dictionaries(st.tuples(pexps, texps),
@@ -406,3 +406,45 @@ def test_symbol_arithmetic_starts_an_empty_memo():
     both = s + swap_symbol(s)
     assert s._parts and both._parts == {} and both._parts is not s._parts
     assert bloch(both).is_zero() and len(both._parts) == 2
+
+
+_unit_parts = Algebra._unit_parts
+
+
+def _unit_parts_by_product(A, u):
+    """Algebra._unit_parts with x = u*s^-1 - 1 always formed by a product."""
+    s, s_inv, _ = _unit_parts(A, u)
+    return s, s_inv, u * s_inv - A.one()
+
+
+def _bases(A, kind):
+    """Unit parts s = 1, constants other than 1, and powers of the invertible parameter b."""
+    if kind == "one":
+        return [A.one()]
+    if kind == "const":
+        return [A.const(2), A.const(-1), A.const(Fraction(-1, 3))]
+    b = A.var("b")
+    return [b, 2 * b ** -2, Fraction(-1, 3) * b ** 2]
+
+
+UNIT_ALGEBRAS = {"one": READ_PATH_ALGEBRAS, "const": READ_PATH_ALGEBRAS,
+                 "param": [Algebra(1, 3, params=[("a", False), ("b", True)]),
+                           Algebra(2, 3, params=[("b", True)])]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(UNIT_ALGEBRAS)))
+def test_unit_parts_shortcut_matches_product(data, kind):
+    A = data.draw(st.sampled_from(UNIT_ALGEBRAS[kind]))
+    bases = st.sampled_from(_bases(A, kind))
+    units = data.draw(st.lists(bases.flatmap(lambda s: _unit(A, s)), min_size=2, max_size=3))
+    terms = [(1, tuple(units)), (-2, tuple(units[::-1]))]
+
+    def results():
+        cl = bloch(SymbolSum(A, len(units), terms))
+        return [A.unit_split(u) for u in units], [A.invert(u) for u in units], cl.rep, cl.base
+
+    fast = results()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Algebra, "_unit_parts", _unit_parts_by_product)
+        assert results() == fast
