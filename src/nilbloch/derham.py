@@ -1,10 +1,12 @@
 """Relative de Rham cohomology with certificates.
 
-A relative subspace of the degree-n forms is named by a RelativeSpec:
-FULL is the kernel of restriction to R/I for the full nilpotent ideal,
-POWER(k) the kernel for (t^k) in single-nilpotent graded mode, and
-EXPLICIT(gens) the kernel for an arbitrary nilpotent ideal, found by
-presenting both form modules and solving for the kernel (parameter-free).
+A relative subspace of the degree-n forms is named by a RelativeSpec: the
+kernel of restriction to R/I, for I the full nilpotent ideal (FULL), (t^k)
+in single-nilpotent graded mode (POWER(k)) or an arbitrary nilpotent ideal
+(EXPLICIT(gens), parameter-free). Every presentation owns R/I, and
+restriction to R/I is canonicalization there: a form is relative iff its
+canonical form in R/I is 0. FULL and POWER(k) test the same predicate by
+coordinates (internal degree >= k), which is cheaper.
 
 Every spec is presented one way: as a direct sum of blocks that d
 preserves, with quotient classes mod d and exactness questions solved
@@ -43,6 +45,7 @@ all; FormBlock serves bases, canonical coordinates and class solves.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, prod
 
@@ -98,9 +101,10 @@ class _Relative:
     block are solved against the d-images of that block's relative
     (n-1)-basis alone. A subclass supplies the block layout (block_keys,
     _split), the relative basis of a block as tags (_tags) and the vector
-    of each tag (_vector), membership (is_relative), the dimension of
-    degree n at f free parameters (_dim) and whether the complex is
-    acyclic (acyclic). Ranks are counted when it is, else solved.
+    of each tag (_vector), the dimension of degree n at f free parameters
+    (_dim) and whether the complex is acyclic (acyclic). Ranks are counted
+    when it is, else solved. R/I (quotient) is one per presentation, and
+    restrict canonicalizes a form there; is_relative asks that this be 0.
     """
 
     counted = False
@@ -109,6 +113,22 @@ class _Relative:
         self.A = algebra
         self.rel = rel
         self._class, self._ranks = {}, {}
+
+    @cached_property
+    def quotient(self):
+        """R/I: the base S for FULL (J lies in m), else A/(J + I), I = (t^k) for POWER."""
+        A, rel = self.A, self.rel
+        if rel.kind == "full":
+            return Algebra(A.m, 1, params=A.params)
+        gens = [{(rel.k,): 1}] if rel.kind == "power" else [dict(g) for g in rel.gens]
+        return Algebra(A.m, A.N, ideal=list(A.ideal_gens) + gens, params=A.params)
+
+    def restrict(self, form):
+        """The image of a form in Omega of R/I: its canonical form there."""
+        return Form(self.quotient, form.degree, form.terms)
+
+    def is_relative(self, form):
+        return not self.restrict(form)
 
     def rel_vectors(self, n):
         return [self._vector(n, tag) for key in self.block_keys(n)
@@ -238,6 +258,7 @@ class BlockedRelative(_Relative):
         return {coord: Fraction(1)}
 
     def is_relative(self, form):
+        """The restriction to R/I is 0 iff every coordinate has internal degree >= k."""
         return all(internal_degree(self.A, coord) >= self.k for coord in form.terms)
 
 
@@ -250,9 +271,10 @@ class WholeRelative(_Relative):
             raise ValueError("invalid relative spec")
         super().__init__(algebra, rel)
         self._kernels = {}
-        self.quotient = Algebra(algebra.m, algebra.N,
-                                ideal=list(algebra.ideal_gens) + [dict(g) for g in rel.gens])
-        self.acyclic = min(self.quotient.weight) > 0
+
+    @cached_property
+    def acyclic(self):
+        return min(self.quotient.weight) > 0
 
     def _dim(self, n, f):
         """Restriction onto Omega of R/I is onto and keeps the key: a difference of FULL dims."""
@@ -288,9 +310,6 @@ class WholeRelative(_Relative):
                     kernels[key] = [{coords[i]: c for i, c in combo.items()} for combo in kern]
             self._kernels[n] = kernels
         return self._kernels[n]
-
-    def is_relative(self, form):
-        return not Form(self.quotient, form.degree, form.terms)
 
 
 def relative(algebra, rel):
@@ -396,8 +415,9 @@ def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
     if count > MAX_TABLE_ROWS:
         raise ValueError(f"the table has {count} rows, above the limit {MAX_TABLE_ROWS}")
     pres = relative(algebra, rel)
-    # before a degree is built: kernels if solved, else the blocks that non-monomial dims sum
-    for B in (algebra, getattr(pres, "quotient", algebra)):
+    # before a degree is built: kernels if solved, else the blocks that non-monomial dims
+    # sum, of A and (EXPLICIT) of R/I; FULL and POWER tables never build their R/I
+    for B in (algebra, pres.quotient) if rel.kind == "explicit" else (algebra,):
         for n in range(n_max + 1) if not (pres.acyclic and B.monomial_ideal) else ():
             fm.whole_budget(B, n)
     pihats = _pihat_box(algebra, b)   # [()] without parameters
@@ -416,17 +436,6 @@ def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
 
 
 # -- the six-term sequence -----------------------------------------------------
-
-
-def _quotient_setup(algebra, rel):
-    """The quotient algebra R/J; for EXPLICIT, the one its presentation built."""
-    if rel.kind == "full":
-        return Algebra(algebra.m, 1, params=[(p.name, p.invertible) for p in algebra.params])
-    if rel.kind == "power":
-        gens = [{e: Fraction(1)} for e in algebra.mono_gens]
-        return Algebra(algebra.m, rel.k, ideal=gens,
-                       params=[(p.name, p.invertible) for p in algebra.params])
-    return relative(algebra, rel).quotient
 
 
 def _class_basis(pres, algebra, n):
@@ -498,13 +507,8 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
     n = degree
     presJ = relative(A, inner)
     presI = relative(A, outer)
-    Aq = _quotient_setup(A, inner)
+    Aq, push = presJ.quotient, presJ.restrict
     presQ = relative(Aq, FULL)
-    proj = RingMap(A, Aq, {})
-
-    def push(form):
-        return fm.push_form(proj, form)
-
     degreewise = []
     seq4_ok = True
     for kdeg in range(0, n + 1):
@@ -512,10 +516,9 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
         dimJ = len(vecsJ)       # the solved kernel: a counted dim is dimI - dimQ
         dimI = presI.dim(kdeg)
         dimQ = presQ.dim(kdeg)
-        inclusion_ok = all(presI.is_relative(Form(A, kdeg, v, canonical=True))
-                           for v in vecsJ)
-        comp_zero = all(not push(Form(A, kdeg, v, canonical=True)).terms
-                        for v in vecsJ)
+        formsJ = [Form(A, kdeg, v, canonical=True) for v in vecsJ]
+        inclusion_ok = all(map(presI.is_relative, formsJ))
+        comp_zero = not any(map(push, formsJ))
         rank_push = len(independent(push(Form(A, kdeg, v, canonical=True)).terms
                                     for v in presI.rel_vectors(kdeg)))
         row = {"degree": kdeg, "dim_inner": dimJ, "dim_outer": dimI,

@@ -476,11 +476,7 @@ def wedge(f, g):
 
 def scale(elem, form):
     A = form.algebra
-    raw = {}
-    for (mono, word), c in form.terms.items():
-        prod = A.mul_terms(elem.terms, {mono: c})
-        vec_iadd(raw, {(mono2, word): c2 for mono2, c2 in prod.items()})
-    return Form(A, form.degree, raw)
+    return Form(A, form.degree, wedge_terms(A, form_of_element(elem).terms, form.terms))
 
 
 def dlog_base(s):
@@ -496,8 +492,10 @@ def dlog_base(s):
 def dlog(u):
     """du/u for a unit u = s*(1+x), as dlog s + d log(1+x): over Q the
     truncating log series gives d log(1+x) = dx/(1+x) exactly, with no inverse."""
-    s, x = u.algebra.unit_split(u)
-    return dlog_base(s) + d_elem(u.algebra.log1p(x))
+    A = u.algebra
+    s, x = A.unit_split(u)
+    log = form_of_element(A.log1p(x)).terms
+    return Form(A, 1, vec_add(dlog_base(s).terms, d_terms(A, log)))
 
 
 def euler_homotopy(form):
@@ -535,10 +533,8 @@ def push_form(rmap, form):
     for (mono, word), c in form.terms.items():
         piece = form_of_element(rmap(AlgElem(src, {mono: c})))
         for w in word:
-            name = names[w] if w < src.m else src.params[w - src.m].name
-            img = rmap.images.get(name)
-            if img is None:
-                img = tgt.var(name)
+            name = names[w]     # dt_v for w < m, else d of parameter w - m
+            img = rmap.images[name] if name in rmap.images else tgt.var(name)
             piece = wedge(piece, d_elem(img))
         out = out + piece
     return out

@@ -107,16 +107,16 @@ def symbol(*entries):
 
 
 def dlog_symbol(s):
-    """Sum of wedge products of dlogs; a closed form of degree = arity."""
+    """Sum of wedge products of dlogs, wedged raw and canonicalized once (the relations
+    form a dg-ideal); a closed form of degree = arity."""
     A = s.algebra
-    out = fm.zero_form(A, s.arity)
-    for c, tup in s.terms:
-        piece = None
-        for u in tup:
-            dl = fm.dlog(u)
-            piece = dl if piece is None else fm.wedge(piece, dl)
-        out = out + Fraction(c) * piece
-    return out
+    raw = {}
+    for c, (u, *rest) in s.terms:
+        piece = fm.dlog(u).terms
+        for v in rest:
+            piece = fm.wedge_terms(A, piece, fm.dlog(v).terms)
+        vec_iadd(raw, piece, c)
+    return Form(A, s.arity, raw)
 
 
 @dataclass

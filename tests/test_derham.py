@@ -1,21 +1,22 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch.algebra import Algebra, monomials_below
+from nilbloch.algebra import Algebra, RingMap, monomials_below
 from nilbloch.linalg import RowSpace, nullspace, vec_iadd
 from nilbloch.parser import algebra_from_json
 from nilbloch.forms import (Form, block_grades, block_key, coord_sort_key, d, d_elem,
-                            euler_homotopy, form_block, form_str, zero_form)
+                            euler_homotopy, form_block, form_str, push_form, zero_form)
 from nilbloch.derham import (EXPLICIT, FULL, POWER, _pihat_box,
                              check_certificate,
                              cohomology, is_exact, quotient_class, relative,
                              relative_basis, sigma_report,
                              verify_forms_sequence)
-from nilbloch.sampling import engine_corpus
+from nilbloch.sampling import engine_corpus, random_rational
 
 CURVE = {(4, 0): 1, (2, 3): 1, (0, 5): 1}
 CURVE_JAC = [{(3, 0): 4, (1, 3): 2}, {(2, 2): 3, (0, 4): 5}]
@@ -494,3 +495,58 @@ def test_explicit_blocks_match_whole_degree_solve(make):
             vec_iadd(mixed, v, i + 1)
         _check_against_reference(Form(A, n, mixed, canonical=True), rel, ref, prev)
         prev = kernel
+
+
+# Restriction to R/I is canonicalization in the presentation's quotient. The
+# reference is the image under the name-preserving projection A -> R/I, which
+# canonicalizes the image of each term on its own.
+
+def _random_form(rng, A, n, degrees):
+    """Raw terms over the monomials below N (dead ones too) with nilpotent degree in degrees."""
+    pexps = list(product(*(range(-2 if p.invertible else 0, 3) for p in A.params)))
+    texps = [e for e in monomials_below(A.m, A.N) if sum(e) in degrees]
+    words = list(combinations(range(A.m + A.n_params), n))
+    return Form(A, n, {((rng.choice(pexps), rng.choice(texps)), rng.choice(words)):
+                       random_rational(rng) for _ in range(rng.randint(0, 5))})
+
+
+RESTRICTED = [
+    (lambda: Algebra(2, 4), FULL),
+    (lambda: Algebra(1, 4, params=[("a", False), ("b", True)]), FULL),
+    (lambda: Algebra(2, 6, ideal=[{(3, 0): 1, (0, 3): 1}]), FULL),
+    (lambda: Algebra(2, 7, ideal=[CURVE]), FULL),
+    (lambda: Algebra(1, 6), POWER(3)),
+    (lambda: Algebra(1, 5, params=[("a", False), ("b", True)]), POWER(2)),
+    (lambda: Algebra(1, 8, ideal=[{(5,): 1}]), POWER(3)),
+    (lambda: Algebra(3, 4), EXPLICIT([{(1, 0, 0): 2, (0, 1, 0): -3}, {(0, 0, 2): 1}])),
+    (lambda: Algebra(3, 4), EXPLICIT([{(1, 1, 0): 1}])),
+    (lambda: Algebra(2, 6, ideal=[{(2, 0): 1, (0, 3): 1}]), EXPLICIT([{(1, 1): 1}])),
+    (lambda: Algebra(2, 6), EXPLICIT(CURVE_JAC)),
+]
+
+
+@pytest.mark.parametrize("make, rel", RESTRICTED)
+def test_restrict_matches_push_through_projection(make, rel):
+    rng = random.Random(20)
+    A = make()
+    pres = relative(A, rel)
+    assert "quotient" not in pres.__dict__      # built on first use, not with the presentation
+    assert pres.quotient is relative(A, rel).quotient
+    proj = RingMap(A, pres.quotient, {})
+    verdicts = set()
+    for n in range(A.m + A.n_params + 1):
+        for _ in range(12):
+            k = getattr(pres, "k", 1)     # FULL and POWER: relative iff internal degree >= k
+            f = _random_form(rng, A, n, rng.choice([range(k), range(k, A.N)]))
+            assert pres.restrict(f) == push_form(proj, f)
+            if rel.kind != "explicit":
+                assert pres.is_relative(f) == (not pres.restrict(f))
+                verdicts.add(pres.is_relative(f))
+    assert rel.kind == "explicit" or verdicts == {True, False}
+
+
+def test_counted_table_builds_no_quotient():
+    for A, rel in ((Algebra(3, 4), FULL), (Algebra(1, 6), POWER(2)),
+                   (Algebra(1, 4, params=[("a", False)]), FULL)):
+        cohomology(A, rel, param_bound=1)
+        assert "quotient" not in relative(A, rel).__dict__

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from nilbloch.algebra import Algebra, RingMap
 from nilbloch.forms import (Form, d, d_elem, dlog, euler_homotopy, form_block,
                             form_of_element, form_str, graded_component, graded_dims,
                             push_form, scale, wedge, zero_form, block_key)
+from nilbloch.linalg import vec_iadd
 from nilbloch import sampling as sp
 
 A = Algebra(2, 4)
@@ -421,3 +423,34 @@ def test_graded_dims_match_form_blocks_with_covers_dead_by_degree(m, data):
     v = min(S)
     assume(g in A.mono_gens and not A._mono_dead(tuple((N - 1) * (w == v) for w in range(m))))
     _assert_graded_dims_match_blocks(A)
+
+
+def _scale_per_term(elem, form):
+    """The per-term product loop that scale was before it used wedge_terms."""
+    A = form.algebra
+    raw = {}
+    for (mono, word), c in form.terms.items():
+        prod = A.mul_terms(elem.terms, {mono: c})
+        vec_iadd(raw, {(mono2, word): c2 for mono2, c2 in prod.items()})
+    return Form(A, form.degree, raw)
+
+
+def test_scale_matches_per_term_product_loop():
+    """scale is one wedge_terms product canonicalized once; the relations form a
+    dg-ideal, so it equals the per-term loop on every algebra kind."""
+    rng = random.Random(20)
+    gap = {(4, 0): 1, (2, 3): 1, (0, 5): 1}
+    algebras = [Algebra(2, 5), Algebra(3, 4, ideal=[{(1, 1, 0): 1}]),
+                Algebra(2, 6, ideal=[{(3, 0): 1, (0, 3): 1}]), Algebra(2, 8, ideal=[gap]),
+                Algebra(2, 4, params=[("a", False), ("b", True)])]
+    for C in algebras:
+        pexps = [(i, j) for i in range(3) for j in range(-2, 3)] if C.n_params else [()]
+        monos = [(p, e) for p in pexps for e in C.nil_basis]
+        for n in range(C.m + C.n_params + 1):
+            words = list(combinations(range(C.m + C.n_params), n))
+            for _ in range(8):
+                x = C.element({mono: sp.random_rational(rng)
+                               for mono in rng.sample(monos, rng.randint(0, 4))})
+                f = Form(C, n, {(rng.choice(monos), rng.choice(words)): sp.random_rational(rng)
+                                for _ in range(rng.randint(0, 5))})
+                assert scale(x, f) == _scale_per_term(x, f), (C.describe(), x, f)
