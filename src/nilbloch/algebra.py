@@ -28,6 +28,9 @@ _RESERVED = {"exp", "log"}
 # does not
 MAX_FORM_COORDS = 2_000_000
 
+# how many rings Algebra(...) keeps with their caches: the most recently used
+MAX_RINGS = 32
+
 
 def compositions(total, parts):
     """All tuples of `parts` nonnegative ints summing to total."""
@@ -81,6 +84,11 @@ def _ideal_rows(m, gens, bound):
 class ParamSpec:
     name: str
     invertible: bool = False
+
+
+def _param_spec(p):
+    return (ParamSpec(p.name, p.invertible) if isinstance(p, ParamSpec)
+            else ParamSpec(*p) if isinstance(p, tuple) else ParamSpec(p))
 
 
 class AlgElem:
@@ -220,12 +228,46 @@ def poly_terms(f):
     return out
 
 
-class Algebra:
+_RINGS = {}     # ring key -> Algebra, least recently used first
+
+
+class _OneRingPerKey(type):
+    """Algebra(...) constructs a ring only when its key is not in _RINGS, and keeps
+    only a construction that succeeds (see Algebra)."""
+
+    def __call__(cls, nilpotents, bound, ideal=(), params=()):
+        try:
+            ideal = tuple(ideal)
+            key = (nilpotents, bound, tuple(tuple(g.items()) for g in map(poly_terms, ideal) if g),
+                   tuple(map(_param_spec, params)))
+            hash(key)
+        except (TypeError, ValueError):     # bad input: __init__ raises its own error
+            key = None
+        # 5.0 == 5: a float must not find the ring of an int bound
+        if key is None or type(nilpotents) is not int or type(bound) is not int:
+            return super().__call__(nilpotents, bound, ideal, params)
+        ring = _RINGS.pop(key, None)
+        if ring is None:
+            ring = super().__call__(nilpotents, bound, ideal, params)
+        _RINGS[key] = ring
+        if len(_RINGS) > MAX_RINGS:
+            del _RINGS[next(iter(_RINGS))]
+        return ring
+
+
+class Algebra(metaclass=_OneRingPerKey):
     """R = S[t_1..t_m]/J with S = Q[params] and (t_1..t_m)^N contained in J.
 
     ideal lists extra generators (dicts {texp: coeff} or AlgElem-like term
     dicts) in the nilpotent variables; the degree-N power of the nilpotent
     ideal is adjoined automatically.
+
+    There is one instance per ring: equal (m, N, nonzero generators after
+    poly_terms in the given order, params as (name, invertible)) return the
+    same object with its caches, so a repeated ring reuses its blocks, class
+    rows, twin and R/I. The MAX_RINGS = 32 most recently used rings are kept.
+    Elements and forms compare algebras by identity, so elements built from
+    two Algebra(2, 5) calls are equal.
     """
 
     def __init__(self, nilpotents, bound, ideal=(), params=()):
@@ -243,9 +285,7 @@ class Algebra:
                              f"above the limit {MAX_FORM_COORDS}")
         self.m = nilpotents
         self.N = bound
-        self.params = tuple(ParamSpec(p.name, p.invertible) if isinstance(p, ParamSpec)
-                            else ParamSpec(*p) if isinstance(p, tuple) else ParamSpec(p)
-                            for p in params)
+        self.params = tuple(map(_param_spec, params))
         self.n_params = len(self.params)
         self.nil_names = ("t",) if self.m == 1 else tuple(f"t{i+1}" for i in range(self.m))
         # with one nilpotent, t1 is another name for t

@@ -44,7 +44,6 @@ all; FormBlock serves bases, canonical coordinates and class solves.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import comb, prod
@@ -255,7 +254,7 @@ class BlockedRelative(_Relative):
                 if internal_degree(self.A, c) >= self.k]
 
     def _vector(self, n, coord):
-        return {coord: Fraction(1)}
+        return {coord: 1}
 
     def is_relative(self, form):
         """The restriction to R/I is 0 iff every coordinate has internal degree >= k."""
@@ -304,7 +303,7 @@ class WholeRelative(_Relative):
             kernels = {}
             for key, group in sorted(fm.split_blocks(Aq, basis).items()):
                 coords = sorted(group, key=coord_sort_key(A))
-                images = [Form(Aq, n, {c: Fraction(1)}).terms for c in coords]
+                images = [Form(Aq, n, {c: 1}).terms for c in coords]
                 kern = nullspace(images, order=coord_sort_key(Aq))
                 if kern:
                     kernels[key] = [{coords[i]: c for i, c in combo.items()} for combo in kern]
@@ -420,13 +419,15 @@ def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
     for B in (algebra, pres.quotient) if rel.kind == "explicit" else (algebra,):
         for n in range(n_max + 1) if not (pres.acyclic and B.monomial_ideal) else ():
             fm.whole_budget(B, n)
-    pihats = _pihat_box(algebra, b)   # [()] without parameters
+    box = [(p, pres._free(p)) for p in _pihat_box(algebra, b)]   # [((), 0)] without parameters
     rows = []
     for n in range(n_max + 1):
-        for p in pihats:
-            dim = pres.dim(n, [p])
-            dim_im = pres.rank(n, [p])
-            dim_ker = dim - pres.rank(n + 1, [p])
+        for p, f in box:
+            dim = pres._dim(n, f)
+            if pres.acyclic:
+                dim_im, dim_ker = pres._rank(n, f), dim - pres._rank(n + 1, f)
+            else:
+                dim_im, dim_ker = pres.solved_rank(n, [p]), dim - pres.solved_rank(n + 1, [p])
             row = {"degree": n, "dim": dim, "dim_ker": dim_ker,
                    "dim_im": dim_im, "dim_h": dim_ker - dim_im}
             if algebra.n_params:

@@ -12,9 +12,10 @@ has alpha = beta + 1_I, and the weight w of the algebra (Algebra.weight)
 makes J + m^N spanned by w-homogeneous f, so the relation rows
 d(f) ^ dt_T and d preserve the block key (w . alpha, pihat), pihat the
 parameter multidegree (da_j counts e_j). Blocks are built and cached one
-at a time. A monomial ideal has w = (1, ..., 1): its key is (internal
-degree, pihat). The gap curve t1^4+t1^2 t2^3+t2^5 has w = 0, one block
-per degree.
+at a time, per ring: Algebra keeps one instance per ring, so a repeated
+ring finds its blocks built. A monomial ideal has w = (1, ..., 1): its
+key is (internal degree, pihat). The gap curve t1^4+t1^2 t2^3+t2^5 has
+w = 0, one block per degree.
 
 Parameters are passive. With S = Q[a, b^±1, ...], Omega of S[t]/J is
 Omega_S tensor Omega of its parameter-free twin Q[t]/J, so a relation row

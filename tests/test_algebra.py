@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch.algebra import (MAX_FORM_COORDS, Algebra, RingMap, _ideal_rows, _q,
-                              monomials_below, poly_terms, power_algebra)
+from nilbloch.algebra import (MAX_FORM_COORDS, MAX_RINGS, Algebra, RingMap, _RINGS,
+                              _ideal_rows, _q, monomials_below, poly_terms, power_algebra)
 from nilbloch.linalg import RowSpace
+from nilbloch.parser import algebra_from_json
 
 A = Algebra(2, 4)
 B = Algebra(1, 5, params=[("a", False), ("b", True)])
@@ -305,3 +306,45 @@ def test_ideal_rows_match_listing_every_monomial(data):
     gens = [poly_terms(g) for g in gens + [mixed, high]]
     want = _ideal_rows_every_u(m, gens, bound)
     assert _ideal_rows(m, gens, bound).rows == want.rows
+
+
+# -- one instance per ring ---------------------------------------------------------
+
+
+def test_equal_specs_give_one_ring():
+    cusp = [{(2, 0): 1, (0, 3): 1}]
+    A = Algebra(2, 5, ideal=cusp)
+    # an integral Fraction is the int, and a zero generator adds nothing
+    assert Algebra(2, 5, ideal=[{(2, 0): Fraction(1), (0, 3): 1}, {(1, 1): 0}]) is A
+    assert algebra_from_json({"nilpotents": 2, "bound": 5, "ideal": ["t1^2+t2^3"]}) is A
+    P = Algebra(1, 3, params=[("a", False), ("b", True)])
+    assert algebra_from_json({"nilpotents": 1, "bound": 3, "params": [
+        {"name": "a"}, {"name": "b", "invertible": True}]}) is P
+    assert Algebra(2, 5).nil(0) == Algebra(2, 5).nil(0)     # one ring, so equal elements
+
+
+def test_different_specs_give_different_rings():
+    g, h = {(2, 0): 1}, {(0, 3): 1}
+    assert Algebra(2, 5, ideal=[g, h]) is not Algebra(2, 5, ideal=[h, g])
+    rings = [Algebra(1, 3), Algebra(1, 3, params=[("a", False)]),
+             Algebra(1, 3, params=[("a", True)]), Algebra(1, 3, params=[("b", False)])]
+    assert len(set(map(id, rings))) == len(rings)
+
+
+def test_ring_table_keeps_the_most_recent_rings():
+    rings = [Algebra(1, N) for N in range(1, MAX_RINGS + 6)]
+    assert len(_RINGS) <= MAX_RINGS
+    assert all(r is not rings[0] for r in _RINGS.values())
+    assert Algebra(1, MAX_RINGS + 5) is rings[-1]
+    assert Algebra(1, 1) is not rings[0]        # the oldest was dropped
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(params=[("d", False)]), "must not begin with 'd'"),
+    (dict(ideal=[{(0, 0): 1, (1, 0): 1}]), "degree-zero ideal generators"),
+    (dict(ideal=[{(1, 1): 1, (2, 0): 1}], params=[("a", False)]), "requires monomial ideal"),
+], ids=["param_name", "degree_zero", "parametric_non_monomial"])
+def test_failed_construction_is_not_kept(kwargs, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            Algebra(2, 5, **kwargs)

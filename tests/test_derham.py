@@ -10,7 +10,8 @@ from nilbloch.algebra import Algebra, RingMap, monomials_below
 from nilbloch.linalg import RowSpace, nullspace, vec_iadd
 from nilbloch.parser import algebra_from_json
 from nilbloch.forms import (Form, block_grades, block_key, coord_sort_key, d, d_elem,
-                            euler_homotopy, form_block, form_str, push_form, zero_form)
+                            euler_homotopy, form_block, form_str, push_form, scale,
+                            zero_form)
 from nilbloch.derham import (EXPLICIT, FULL, POWER, _pihat_box,
                              check_certificate,
                              cohomology, is_exact, quotient_class, relative,
@@ -306,7 +307,7 @@ def test_rank_count_matches_solve_monomial_ideal(m, N, data):
     assert [pres.rank(n) for n in range(m + 2)] == [pres.solved_rank(n) for n in range(m + 2)]
 
 
-def test_graded_cohomology_builds_no_class_rows():
+def test_graded_cohomology_builds_no_class_rows(fresh_rings):
     for A in [Algebra(3, 4), Algebra(1, 3, params=[("a", True)])]:
         rep = cohomology(A, FULL, param_bound=1 if A.n_params else None)
         assert rep.all_zero()
@@ -319,12 +320,13 @@ def test_graded_cohomology_builds_no_class_rows():
     assert "nil_basis" not in vars(big)
 
 
-@pytest.mark.parametrize("A, rel", [
-    (Algebra(3, 4), FULL),
-    (Algebra(1, 6), POWER(2)),
-    (Algebra(3, 4, ideal=[{(2, 0, 0): 1}, {(0, 1, 1): 1}]), FULL),
+@pytest.mark.parametrize("spec, rel", [
+    ((3, 4), FULL),
+    ((1, 6), POWER(2)),
+    ((3, 4, [{(2, 0, 0): 1}, {(0, 1, 1): 1}]), FULL),
 ], ids=["full_m3", "power2_m1", "monomial_ideal_m3"])
-def test_graded_cohomology_builds_no_form_block(A, rel):
+def test_graded_cohomology_builds_no_form_block(spec, rel, fresh_rings):
+    A = Algebra(*spec)
     assert cohomology(A, rel).all_zero()
     assert A._form_cache == {}          # dims counted per fine multidegree
     assert "nil_basis" not in vars(A)
@@ -380,9 +382,10 @@ SOLVED = [
     "cusp_m2", "cusp_m3", "cusp_m4", "t1^3+t2^3", "t1^3+t2^3-t3^2", "explicit_t1_m4",
     "explicit_t1+t2^2", "explicit_t1t2-t3^2;t4^2", "explicit_over_cusp",
     "gap_curve", "explicit_gap_jacobian", "explicit_t1+t2^2+t2^3"])
-def test_counted_rank_matches_solve_or_falls_back(A, rel):
-    pres = relative(A, rel)
+def test_counted_rank_matches_solve_or_falls_back(A, rel, fresh_rings):
     acyclic = (A, rel) in QUASI_HOMOGENEOUS
+    A = Algebra(A.m, A.N, A.ideal_gens, A.params)     # a cold copy of the shared ring
+    pres = relative(A, rel)
     assert pres.acyclic == acyclic
     rows = cohomology(A, rel).rows
     assert (pres._class == {}) == acyclic     # counted tables build no class rows
@@ -550,3 +553,38 @@ def test_counted_table_builds_no_quotient():
                    (Algebra(1, 4, params=[("a", False)]), FULL)):
         cohomology(A, rel, param_bound=1)
         assert "quotient" not in relative(A, rel).__dict__
+
+
+# Algebra(...) hands every caller the same ring with its caches, so an answer
+# from a ring warmed by other queries must be the one a cold ring gives.
+WARM_COLD = [
+    (lambda: Algebra(2, 7, ideal=[CURVE]), FULL, None),
+    (lambda: Algebra(2, 6), EXPLICIT(CURVE_JAC), None),
+    (lambda: Algebra(1, 4, params=[("a", False), ("b", True)]), FULL, 1),
+]
+
+
+def _rows_and_certificates(A, rel, bound):
+    rows = cohomology(A, rel, param_bound=bound).rows
+    if A.n_params:
+        t, a, b = A.nil(), A.var("a"), A.var("b")
+        forms = [d_elem(a * t ** 2), scale(t, d_elem(a)), scale(t ** 2 / b, d_elem(b)),
+                 scale(t ** 2, d_elem(t))]
+    else:
+        forms = [d(f) for f in relative_basis(A, rel, 0)[:4]]
+        forms += relative_basis(A, rel, 1)[:8] + relative_basis(A, rel, 2)[:8]
+    return rows, [is_exact(f, rel).to_json() for f in forms]
+
+
+def test_warm_ring_answers_like_a_cold_one(fresh_rings):
+    rings, cold = [], []
+    for build, rel, bound in WARM_COLD:      # distinct rings, each new to the table
+        rings.append(build())
+        cold.append(_rows_and_certificates(rings[-1], rel, bound))
+    for m, N, ideal in [(2, 5, [{(3, 0): 1, (0, 3): 1}]), (3, 3, []), (2, 6, CURVE_JAC)]:
+        cohomology(Algebra(m, N, ideal=ideal), FULL)
+    for i in reversed(range(len(WARM_COLD))):
+        build, rel, bound = WARM_COLD[i]
+        A = build()
+        assert A is rings[i]
+        assert _rows_and_certificates(A, rel, bound) == cold[i]

@@ -309,11 +309,12 @@ def test_graded_dims_closed_form_matches_form_blocks_full():
             _assert_graded_dims_match_blocks(Algebra(m, N))
 
 
-def test_fine_dims_memo_is_shared_across_algebras():
+def test_fine_dims_memo_is_shared_across_algebras(fresh_rings):
     from nilbloch.forms import _fine_dims
     gens = [{(2, 1, 0): 1}, {(0, 1, 1): 1}]
     graded_dims(Algebra(3, 6, ideal=gens))
     misses = _fine_dims.cache_info().misses
+    fresh_rings()       # else again is the same ring, with its graded dims cached
     again = Algebra(3, 6, ideal=gens)
     assert graded_dims(again) and again._form_cache == {}
     assert _fine_dims.cache_info().misses == misses
