@@ -10,8 +10,8 @@ this script. OUTDIR/NN-<subcommand>.json gets the command's JSON report
 with its exit code added as `exit_code` (a command that prints no report
 gets its stderr instead). One line per command goes to stdout: file
 name, exit code, wall seconds and the command. Run it in two checkouts
-and compare the files pairwise with scripts/selftest_diff.py, which
-drops the top-level `timing_seconds`.
+and compare the two OUTDIRs with `scripts/selftest_diff.py DIR_A DIR_B`,
+which drops the top-level `timing_seconds`.
 """
 
 import json

@@ -70,6 +70,18 @@ def _q(c):
     return c
 
 
+def signed_sum(parts, sep=""):
+    """Text of a sum of (coefficient, body) pairs, each sign from its coefficient:
+    'a+b-c', or 'a + b - c' with sep=" "; '0' when there are no parts."""
+    bits = []
+    for c, body in parts:
+        if bits:
+            bits.append(f"{sep}{'+' if c > 0 else '-'}{sep}{body}")
+        else:
+            bits.append(body if c > 0 else "-" + body)
+    return "".join(bits) or "0"
+
+
 def _ideal_rows(m, gens, bound):
     """Span of the multiples u*g (u a monomial, g in gens) cut to degree < bound."""
     rows = RowSpace(order=lambda e: (sum(e), e))
@@ -386,14 +398,10 @@ class Algebra(metaclass=_OneRingPerKey):
         if self.monomial_ideal:
             return {k: c for k, c in terms.items()
                     if c and not self._mono_dead(k[1])}
-        out = {}
-        by_p = {}
-        for (pexp, texp), c in terms.items():
-            by_p.setdefault(pexp, {})[texp] = by_p.get(pexp, {}).get(texp, 0) + c
-        for pexp, vec in by_p.items():
-            red = self._ring_rows.reduce({k: c for k, c in vec.items() if sum(k) < self.N})
-            out.update(((pexp, texp), c) for texp, c in red.items())     # reduce drops zeros
-        return out
+        # no parameters over a non-monomial ideal: every pexp is ()
+        red = self._ring_rows.reduce({texp: c for (_, texp), c in terms.items()
+                                      if sum(texp) < self.N})
+        return {((), texp): c for texp, c in red.items()}      # reduce drops zeros
 
     def element(self, terms):
         clean = {}
@@ -565,24 +573,12 @@ class Algebra(metaclass=_OneRingPerKey):
         return "*".join(parts)
 
     def elem_str(self, elem):
-        if not elem.terms:
-            return "0"
+        def body(mono, c):
+            return f"{c}*{mono}" if mono and c != 1 else mono or str(c)
+
         keys = sorted(elem.terms, key=self.mono_key, reverse=True)
-        out = []
-        for k in keys:
-            c = elem.terms[k]
-            mono = self.mono_str(k)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not out:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append(("+" if c > 0 else "-") + body)
-        return "".join(out)
+        return signed_sum((elem.terms[k], body(self.mono_str(k), abs(elem.terms[k])))
+                          for k in keys)
 
     def describe(self):
         return {

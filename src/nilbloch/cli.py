@@ -54,9 +54,8 @@ def _load_algebra(args):
     return ps.algebra_from_json(data)
 
 
-def _algebra_flags(p, need_file=True):
-    if need_file:
-        p.add_argument("--algebra", help="algebra spec JSON file")
+def _algebra_flags(p):
+    p.add_argument("--algebra", help="algebra spec JSON file")
     p.add_argument("--N", type=int, help="truncation bound (overrides file)")
     p.add_argument("--m", type=int, help="number of nilpotent variables (overrides file)")
     p.add_argument("--ideal", help="';'-separated ideal generators (overrides file)")

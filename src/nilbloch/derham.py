@@ -98,12 +98,13 @@ class _Relative:
 
     d maps block (n-1, key) into block (n, key), so the classes mod d of a
     block are solved against the d-images of that block's relative
-    (n-1)-basis alone. A subclass supplies the block layout (block_keys,
-    _split), the relative basis of a block as tags (_tags) and the vector
-    of each tag (_vector), the dimension of degree n at f free parameters
-    (_dim) and whether the complex is acyclic (acyclic). Ranks are counted
-    when it is, else solved. R/I (quotient) is one per presentation, and
-    restrict canonicalizes a form there; is_relative asks that this be 0.
+    (n-1)-basis alone. A subclass supplies five hooks: the block layout
+    (block_keys, and _split of a form into blocks), the relative basis of
+    a block as a list of vectors (_basis), the dimension of degree n at f
+    free parameters (_dim) and whether the complex is acyclic (acyclic).
+    Ranks are counted when it is, else solved. R/I (quotient) is one per
+    presentation, and restrict canonicalizes a form there; is_relative asks
+    that this be 0.
     """
 
     counted = False
@@ -130,8 +131,7 @@ class _Relative:
         return not self.restrict(form)
 
     def rel_vectors(self, n):
-        return [self._vector(n, tag) for key in self.block_keys(n)
-                for tag in self._tags(n, key)]
+        return [v for key in self.block_keys(n) for v in self._basis(n, key)]
 
     def dim(self, n, pihats=None):
         return sum(self._dim(n, self._free(p)) for p in self._pihats(pihats))
@@ -170,12 +170,11 @@ class _Relative:
         return f
 
     def class_rows(self, n, key):
-        """d-images of the relative (n-1)-basis of this block, by tag."""
+        """d-images of the relative (n-1)-basis of this block, tagged by basis index."""
         if (n, key) not in self._class:
             rows = RowSpace(order=coord_sort_key(self.A), track=True)
-            for tag in self._tags(n - 1, key):
-                v = self._vector(n - 1, tag)
-                rows.insert(fm.d(Form(self.A, n - 1, v, canonical=True)).terms, tag=tag)
+            for idx, v in enumerate(self._basis(n - 1, key)):
+                rows.insert(fm.d(Form(self.A, n - 1, v, canonical=True)).terms, tag=idx)
             self._class[(n, key)] = rows
         return self._class[(n, key)]
 
@@ -211,8 +210,7 @@ class _Relative:
             combo = rows.solve(vec)
             if combo is None:
                 return None, (key, rows.witness(vec))
-            for tag, c in combo.items():
-                vec_iadd(eta, self._vector(n - 1, tag), c)
+            vec_iadd(eta, _lift(combo, self._basis(n - 1, key)))
         return Form(self.A, n - 1, eta, canonical=True), None
 
 
@@ -239,7 +237,7 @@ class BlockedRelative(_Relative):
             return 0
         if (n, f) not in self._dims:
             if not self.counted:
-                dim = sum(len(self._tags(n, key)) for key in self.block_keys(n))
+                dim = sum(len(self._basis(n, key)) for key in self.block_keys(n))
             elif self.A.n_params:
                 twin = relative(fm.param_free_twin(self.A), self.rel)
                 dim = sum(comb(f, s) * twin._dim(n - s, 0) for s in range(f + 1))
@@ -249,12 +247,9 @@ class BlockedRelative(_Relative):
             self._dims[(n, f)] = dim
         return self._dims[(n, f)]
 
-    def _tags(self, n, key):
-        return [c for c in form_block(self.A, n, key).basis
+    def _basis(self, n, key):
+        return [{c: 1} for c in form_block(self.A, n, key).basis
                 if internal_degree(self.A, c) >= self.k]
-
-    def _vector(self, n, coord):
-        return {coord: 1}
 
     def is_relative(self, form):
         """The restriction to R/I is 0 iff every coordinate has internal degree >= k."""
@@ -285,12 +280,8 @@ class WholeRelative(_Relative):
     def _split(self, form):
         return fm.split_blocks(self.quotient, form.terms)
 
-    def _tags(self, n, key):
-        return [(key, idx) for idx in range(len(self._blocks(n).get(key, ())))]
-
-    def _vector(self, n, tag):
-        key, idx = tag
-        return self._blocks(n)[key][idx]
+    def _basis(self, n, key):
+        return self._blocks(n).get(key, [])
 
     def _blocks(self, n):
         """{key: the kernel of restriction to R/I over the block's sorted basis}."""
@@ -405,10 +396,9 @@ def _pihat_box(algebra, bound):
     return [tuple(v) for v in product(*ranges)]
 
 
-def cohomology(algebra, rel=FULL, n_max=None, param_bound=None):
-    """dim H^n per degree, and per parameter multidegree in parametric mode."""
-    if n_max is None:
-        n_max = algebra.m + algebra.n_params
+def cohomology(algebra, rel=FULL, param_bound=None):
+    """dim H^n per degree up to m + params, and per parameter multidegree in parametric mode."""
+    n_max = algebra.m + algebra.n_params
     b = param_bound or 0
     count = (n_max + 1) * prod(2 * b + 1 if p.invertible else b + 1 for p in algebra.params)
     if count > MAX_TABLE_ROWS:

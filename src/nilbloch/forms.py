@@ -59,7 +59,7 @@ from math import comb
 from operator import mul
 
 from .linalg import RowSpace, independent, vec_add, vec_iadd, vec_scale
-from .algebra import AlgElem, Algebra, _divides, _q, monomials_of_degree
+from .algebra import AlgElem, Algebra, _divides, _q, monomials_of_degree, signed_sum
 
 # the most coordinates of one degree over a non-monomial ideal or in an EXPLICIT kernel
 MAX_WHOLE_COORDS = 450_000
@@ -544,20 +544,12 @@ def push_form(rmap, form):
 def form_str(form):
     """Serialize as 'c * mono * dW' terms joined by ' + ', wedges by '∧'."""
     A = form.algebra
-    if not form.terms:
-        return "0"
     names = list(A.nil_names) + [p.name for p in A.params]
-    order = coord_sort_key(A)
-    bits = []
-    for coord in sorted(form.terms, key=order, reverse=True):
+
+    def body(coord):
         mono, word = coord
-        c = form.terms[coord]
-        mstr = A.mono_str(mono) or "1"
-        part = f"{abs(c)} * {mstr}"
-        if word:
-            part += " * " + "∧".join("d" + names[w] for w in word)
-        if not bits:
-            bits.append(part if c > 0 else "-" + part)
-        else:
-            bits.append(("+ " if c > 0 else "- ") + part)
-    return " ".join(bits)
+        part = f"{abs(form.terms[coord])} * {A.mono_str(mono) or '1'}"
+        return part + " * " + "∧".join("d" + names[w] for w in word) if word else part
+
+    coords = sorted(form.terms, key=coord_sort_key(A), reverse=True)
+    return signed_sum(((form.terms[c], body(c)) for c in coords), " ")

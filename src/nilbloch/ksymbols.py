@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import product
 
 from .linalg import independent, vec_iadd
-from .algebra import Algebra, AlgElem, RingMap
+from .algebra import Algebra, AlgElem, RingMap, signed_sum
 from . import forms as fm
 from .forms import Form, block_key
 from . import derham as dr
@@ -84,18 +84,8 @@ class SymbolSum:
     __mul__ = __rmul__
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for c, tup in self.terms:
-            body = "{" + ", ".join(str(u) for u in tup) + "}"
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not bits:
-                bits.append(body if c > 0 else "-" + body)
-            else:
-                bits.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(bits)
+        return signed_sum(((c, ("" if abs(c) == 1 else f"{abs(c)}*")
+                            + "{" + ", ".join(map(str, tup)) + "}") for c, tup in self.terms), " ")
 
     __repr__ = __str__
 

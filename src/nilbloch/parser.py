@@ -18,7 +18,7 @@ forms add differentials 'd<name>' joined by '∧'. Identifiers t (or t1..tm)
 are the nilpotent variables; every other identifier must be a declared
 parameter of the target algebra. Negative exponents are only valid on
 invertible factors. Errors carry the 1-based line:column of the offending
-token.
+token, computed from the offset in the text that every token carries.
 """
 
 from fractions import Fraction
@@ -30,16 +30,12 @@ from .ksymbols import SymbolSum
 
 
 class Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "pos")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, pos):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind},{self.text!r},{self.line}:{self.col})"
+        self.pos = pos
 
 
 _OPS = set("+-*^(){},/∧")
@@ -52,50 +48,43 @@ MAX_DEPTH = 100
 MAX_POWER_BITS = 100_000
 
 
+def _where(text, pos):
+    """The 1-based line:col of offset pos in text."""
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    return f"{line}:{col}"
+
+
 def tokenize(text):
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
+        j = i + 1
         if ch.isspace():
-            col += 1
-            i += 1
+            i = j
             continue
         if ch.isdigit():
-            j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(Token("NUM", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            kind = "NUM"
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            toks.append(Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ValueError(f"syntax error at {line}:{col}")
-    toks.append(Token("EOF", "", line, col))
+            kind = "IDENT"
+        elif ch in _OPS:
+            kind = ch
+        else:
+            raise ValueError(f"syntax error at {_where(text, i)}")
+        toks.append(Token(kind, text[i:j], i))
+        i = j
+    toks.append(Token("EOF", "", n))
     return toks
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -110,7 +99,7 @@ class _Parser:
 
     def fail(self, tok=None):
         tok = tok or self.peek()
-        raise ValueError(f"syntax error at {tok.line}:{tok.col}")
+        raise ValueError(f"syntax error at {_where(self.text, tok.pos)}")
 
     def expect(self, kind):
         tok = self.next()
@@ -118,15 +107,12 @@ class _Parser:
             self.fail(tok)
         return tok
 
-    def at_end(self):
-        return self.peek().kind == "EOF"
-
     # -- expressions -----------------------------------------------------------
 
     def expr(self):
         if self.depth >= MAX_DEPTH:
-            tok = self.peek()
-            raise ValueError(f"expression nested too deeply at {tok.line}:{tok.col}")
+            where = _where(self.text, self.peek().pos)
+            raise ValueError(f"expression nested too deeply at {where}")
         self.depth += 1
         node = self._expr()
         self.depth -= 1
@@ -181,7 +167,7 @@ class _Parser:
                 self.next()
                 den = self.next()
                 if not int(den.text):
-                    raise ValueError(f"division by zero at {den.line}:{den.col}")
+                    raise ValueError(f"division by zero at {_where(self.text, den.pos)}")
                 return ("num", _q(Fraction(num, int(den.text))))
             return ("num", num)
         if tok.kind == "IDENT":
@@ -232,13 +218,18 @@ class _Parser:
         return factors, word
 
 
+def _parse(text, rule):
+    """Run a _Parser rule (an unbound method) over the whole text; leftover tokens fail."""
+    p = _Parser(text)
+    out = rule(p)
+    if p.peek().kind != "EOF":
+        p.fail()
+    return out
+
+
 def parse_expr(text):
     """Text to AST; the whole input must be one expression."""
-    p = _Parser(text)
-    node = p.expr()
-    if not p.at_end():
-        p.fail()
-    return node
+    return _parse(text, _Parser.expr)
 
 
 def to_elem(ast, algebra):
@@ -289,11 +280,8 @@ def parse_element(text, algebra):
 
 
 def parse_symbol_sum(text, algebra):
-    p = _Parser(text)
-    terms = p.symbol_sum()
-    if not p.at_end():
-        p.fail()
-    terms = [(c, tuple(to_elem(node, algebra) for node in tup)) for c, tup in terms]
+    terms = [(c, tuple(to_elem(node, algebra) for node in tup))
+             for c, tup in _parse(text, _Parser.symbol_sum)]
     return SymbolSum(algebra, len(terms[0][1]), terms)
 
 
@@ -310,11 +298,9 @@ def _differential_index(algebra, name):
 
 def parse_form(text, algebra):
     """Parse 'c * mono * dW' sums back into a Form."""
-    p = _Parser(text)
-    groups = p.form_sum()
     degree = None
     terms = {}
-    for sign, (factors, wedge_tail) in groups:
+    for sign, (factors, wedge_tail) in _parse(text, _Parser.form_sum):
         coeff = sign
         elem = algebra.one()
         idxs = []
@@ -346,10 +332,13 @@ def parse_form(text, algebra):
 
 
 def _walk(ast, checks):
-    """Refuse exp/log calls in a polynomial AST, and list in evaluation order
+    """Refuse exp/log calls in a polynomial AST, list in evaluation order
     what to_elem alone would not refuse there: ("var", name) for each variable,
     ("pow", e) for a negative power, before its base, and ("inv", argument)
-    for a division, after its argument."""
+    for a division, after its argument; and return a bound on the degree of
+    every polynomial the AST forms: a sum takes the max, a product the sum, a
+    power e times its base (the base alone for e < 1, which is still expanded),
+    a negation or quotient its argument's."""
     kind = ast[0]
     if kind == "var":
         checks.append(("var", ast[1]))
@@ -357,12 +346,15 @@ def _walk(ast, checks):
         raise ValueError("exp/log not allowed in polynomials")
     elif kind == "pow" and ast[2] < 0:
         checks.append(("pow", ast[2]))
-    for sub in ast[1:]:
-        for child in sub if isinstance(sub, list) else [sub]:
-            if isinstance(child, tuple):
-                _walk(child, checks)
+    degs = [_walk(child, checks) for sub in ast[1:]
+            for child in (sub if isinstance(sub, list) else [sub]) if isinstance(child, tuple)]
     if kind == "inv":
         checks.append(("inv", ast[1]))
+    if kind == "sum":
+        return max(degs)
+    if kind == "pow":
+        return max(ast[2], 1) * degs[0]
+    return sum(degs) if degs else int(kind == "var")
 
 
 def _nilpotent_count(checks):
@@ -387,24 +379,10 @@ def nilpotent_count(text):
     return _nilpotent_count(checks)
 
 
-def _degree(node):
-    kind = node[0]
-    if kind == "sum":
-        return max(map(_degree, node[1]))
-    if kind == "prod":
-        return sum(map(_degree, node[1]))
-    if kind == "pow":
-        return max(node[2], 1) * _degree(node[1])
-    if kind in ("neg", "inv", "call"):
-        return _degree(node[-1])
-    return int(kind == "var")
-
-
 def degree_bound(text):
-    """A bound, read from the AST, on the degree of every polynomial parsing text forms:
-    a sum takes the max, a product the sum, a power e times its base (the base alone
-    for e < 1, which is still expanded), a negation or quotient its argument's."""
-    return _degree(parse_expr(text))
+    """A bound, read from the AST (see _walk), on the degree of every polynomial
+    parsing text forms."""
+    return _walk(parse_expr(text), [])
 
 
 def polynomial_terms(text, m=None, bound=None):
@@ -419,10 +397,10 @@ def polynomial_terms(text, m=None, bound=None):
     """
     ast = parse_expr(text)
     checks = []
-    _walk(ast, checks)
+    degree = _walk(ast, checks)
     if m is None:
         m = _nilpotent_count(checks)
-    algebra = Algebra(m, _degree(ast) + 1 if bound is None else bound)
+    algebra = Algebra(m, degree + 1 if bound is None else bound)
     one = ((), (0,) * m)
     for kind, x in checks:
         if kind == "var" and x not in algebra.nil_index:
@@ -441,15 +419,16 @@ def algebra_to_json(algebra):
 def algebra_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("algebra spec must be a JSON object")
-    try:
-        m, bound = int(data["nilpotents"]), int(data["bound"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("algebra spec needs integer 'nilpotents' and 'bound'") from None
+    m, bound = data.get("nilpotents"), data.get("bound")
+    if type(m) is not int or type(bound) is not int:       # a JSON true is no integer
+        raise ValueError("algebra spec needs integer 'nilpotents' and 'bound'")
     ideal, params = data.get("ideal", []), data.get("params", [])
     if not (isinstance(ideal, list) and all(isinstance(g, str) for g in ideal)):
         raise ValueError("'ideal' must be a list of polynomial strings")
     if not (isinstance(params, list)
             and all(isinstance(p, dict) and isinstance(p.get("name"), str) for p in params)):
         raise ValueError("every 'params' entry needs a string 'name'")
+    if not all(isinstance(p.get("invertible", False), bool) for p in params):
+        raise ValueError("a 'params' entry's 'invertible' must be true or false")
     return Algebra(m, bound, ideal=[polynomial_terms(g, m, bound) for g in ideal],
-                   params=[(p["name"], bool(p.get("invertible", False))) for p in params])
+                   params=[(p["name"], p.get("invertible", False)) for p in params])

@@ -104,9 +104,8 @@ def hypersurface_h_dim(f, N):
 def singularity_report(f, n_max=24):
     terms = poly_terms(f)
     m = _check_critical(terms)
-    mu, n_mu, d_stab = _stabilized_dim(terms, m, jacobian(terms), n_max)
+    mu, n_used, d_stab = milnor_number(terms, n_max)
     tau, _ = tyurina_number(terms, n_max)
-    n_used = n_mu
     h_dim = hypersurface_h_dim(terms, n_used)
     return SingularityReport(_poly_str(terms, m), m, mu, tau, h_dim,
                              n_used, d_stab)

@@ -348,3 +348,26 @@ def test_failed_construction_is_not_kept(kwargs, message):
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
             Algebra(2, 5, **kwargs)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 3), "need at least one nilpotent variable"),
+    ((2, 0), "nilpotency bound must be at least 1"),
+], ids=["no_nilpotent", "zero_bound"])
+def test_degenerate_algebra_is_refused(args, message):
+    before = list(_RINGS.items())
+    with pytest.raises(ValueError, match=message):
+        Algebra(*args)
+    assert list(_RINGS.items()) == before
+
+
+@pytest.mark.parametrize("args, kwargs, error", [
+    ((2, 3.0), {}, TypeError),
+    ((2, 3), dict(ideal=[{(1, 0): "x"}]), ValueError),
+], ids=["float_bound", "text_coefficient"])
+def test_input_without_a_ring_key_raises_and_is_not_kept(args, kwargs, error):
+    before = list(_RINGS.items())
+    for _ in range(2):
+        with pytest.raises(error):
+            Algebra(*args, **kwargs)
+    assert list(_RINGS.items()) == before

@@ -346,7 +346,7 @@ def test_counted_dim_and_rank_match_blocks(A, rel):
         negative = []
     for p in _pihat_box(A, 2) + negative:
         for n in range(A.m + A.n_params + 2):
-            listed = sum(len(pres._tags(n, key)) for key in pres.block_keys(n, [p]))
+            listed = sum(len(pres._basis(n, key)) for key in pres.block_keys(n, [p]))
             assert pres.dim(n, [p]) == listed, (p, n)
             assert pres.rank(n, [p]) == pres.solved_rank(n, [p]), (p, n)
     assert all(pres.dim(n, negative) == 0 for n in range(A.m + A.n_params + 1))

@@ -81,6 +81,20 @@ def test_syntax_errors_carry_position():
         parse_element("t $ t", R3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1+\n 2*$", "syntax error at 2:4"),
+    ("1+\n\n  (3", "syntax error at 3:5"),
+    ("1+\n 2 3", "syntax error at 2:4"),
+    ("(t\n", "syntax error at 2:1"),
+    ("1+\n\t1/0", "division by zero at 2:4"),
+    ("\n  " + "(" * (MAX_DEPTH + 1) + "t" + ")" * (MAX_DEPTH + 1),
+     f"nested too deeply at 2:{MAX_DEPTH + 3}"),
+], ids=["bad_char", "open_paren", "leftover", "trailing_newline", "zero_denominator", "depth"])
+def test_error_positions_count_lines(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_element(text, R3)
+
+
 def test_element_print_parse_round_trip():
     for text in ["1+a*t", "b^-1*t^2-3", "a^2*b^-2*t+1/2"]:
         u = parse_element(text, PAR)
@@ -127,6 +141,12 @@ def test_parse_form_rejects():
         parse_form("dt*t", R3)
     with pytest.raises(ValueError, match="mixed form degrees"):
         parse_form("dt + t*da∧db", PAR)
+
+
+@pytest.mark.parametrize("text", ["t1*dt2 garbage", "t1*dt2 )"])
+def test_parse_form_refuses_trailing_input(text):
+    with pytest.raises(ValueError, match="syntax error at 1:8"):
+        parse_form(text, Algebra(2, 4))
 
 
 def test_form_round_trip_through_printer():
@@ -341,6 +361,14 @@ def test_cli_singular_poly_degree_budget():
     assert proc.returncode == 2 and "--N-max" in proc.stderr
 
 
+def test_singular_refuses_exp_log_before_the_degree_budget(capsys):
+    # raising --N-max would not help: the polynomial check comes first
+    code, out, err = run_cli(capsys, ["singular", "--poly", "exp(t1^30)"])
+    assert code == 2 and not out and "exp/log not allowed in polynomials" in err
+    with pytest.raises(ValueError, match="exp/log not allowed"):
+        degree_bound("t + log(1+t)")
+
+
 def test_degree_bound_covers_every_parsed_degree():
     for text, bound in [("t1^4+t1^2*t2^3+t2^5", 5), ("(1+t1+t2)^3000", 3000),
                         ("3/2*t1^2*t2 - (t2)^2", 3), ("(t1*(1+t2)^3)^0 + t2", 4),
@@ -530,6 +558,39 @@ def test_zero_ideal_generators_are_dropped(capsys):
     assert B.monomial_ideal and B.n_params == 1
     code, out, _ = run_cli(capsys, ["cohom", "--m", "1", "--N", "3", "--ideal", "0"])
     assert code == 0 and json.loads(out)["all_zero"] is True
+
+
+BAD_TYPES = [
+    ({"nilpotents": 2.5, "bound": 4}, "integer 'nilpotents' and 'bound'"),
+    ({"nilpotents": "2", "bound": 4}, "integer 'nilpotents' and 'bound'"),
+    ({"nilpotents": True, "bound": 4}, "integer 'nilpotents' and 'bound'"),
+    ({"nilpotents": 1, "bound": 3.0}, "integer 'nilpotents' and 'bound'"),
+    ({"nilpotents": 1, "bound": 3, "params": [{"name": "a", "invertible": "no"}]},
+     "'invertible' must be true or false"),
+    ({"nilpotents": 1, "bound": 3, "params": [{"name": "a", "invertible": 1}]},
+     "'invertible' must be true or false"),
+]
+
+
+@pytest.mark.parametrize("spec, message", BAD_TYPES,
+                         ids=["float", "string", "bool", "float_bound", "string_flag", "int_flag"])
+def test_algebra_spec_needs_json_integers_and_booleans(spec, message):
+    with pytest.raises(ValueError, match=message):
+        algebra_from_json(spec)
+
+
+@pytest.mark.parametrize("spec, message", BAD_TYPES[::2], ids=["float", "bool", "string_flag"])
+def test_cli_algebra_file_with_wrong_json_types_exits_two(tmp_path, capsys, spec, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, ["cohom", "--algebra", str(path), "--param-bound", "1"])
+    assert code == 2 and not out and message in err
+
+
+def test_algebra_spec_flags_are_json_booleans():
+    A = algebra_from_json({"nilpotents": 1, "bound": 3, "params": [
+        {"name": "a", "invertible": False}, {"name": "b", "invertible": True}, {"name": "c"}]})
+    assert [p.invertible for p in A.params] == [False, True, False]
 
 
 def test_cli_algebra_file_holding_a_list_exits_two(tmp_path, capsys):
