@@ -17,9 +17,11 @@ run keeps the pairs it finished) has the keys parent, command, machine, pairs,
 claim, summary, runs and trace. summary["W/S"] holds, per end-to-end
 metric, each side's median, min, max, iqr (third minus first quartile)
 and n; the failed counts per run; and "<metric>_pairs_won", the pairs in
-which the change read better (ties count for neither side). One line per
-workload, seed and metric goes to stdout with the wins and both medians.
-Neither checkout is modified.
+which the change read better (ties count for neither side); and
+"<metric>_verdict" (see verdict). One line per workload, seed and metric
+goes to stdout with the verdict, the wins and both medians. Neither
+checkout is modified; BENCHMARK.json of the change checkout is only read,
+for each metric's direction and bound.
 """
 
 import argparse
@@ -51,7 +53,23 @@ def spread(values):
             "iqr": quartiles[2] - quartiles[0], "n": len(values)}
 
 
-def summarize(runs, better):
+def verdict(parent, change, better, bound):
+    """'gain', 'worse' or 'same' for one metric, from its values per pair (parent[i]
+    and change[i] ran in pair i). gain: the change read better in at least 9 of
+    every 10 pairs and its median is better than the parent's by more than the
+    parent's IQR. worse: the change median is worse than the parent median by
+    more than bound times the parent median. same: anything else."""
+    sign = 1 if better == "lower" else -1
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    if 10 * wins >= 9 * len(parent) and sign * (p_med - c_med) > spread(parent)["iqr"]:
+        return "gain"
+    if sign * (c_med - p_med) > bound * abs(p_med):
+        return "worse"
+    return "same"
+
+
+def summarize(runs, better, bounds):
     summary = {}
     for key in dict.fromkeys(f"{r['workload']}/{r['seed']}" for r in runs):
         mine = [r for r in runs if f"{r['workload']}/{r['seed']}" == key]
@@ -70,6 +88,8 @@ def summarize(runs, better):
                                for s in ("parent", "change"))))
             wins = sum(sign * (p - c) > 0 for p, c in pairs)
             out[f"{name}_pairs_won"] = f"{wins}/{len(pairs)}"
+            if name in bounds:
+                out[f"{name}_verdict"] = verdict(*zip(*pairs), better[name], bounds[name])
     return summary
 
 
@@ -94,7 +114,9 @@ def main(argv=None):
     workloads = args.workloads.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in end_to_end}
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     report = {
         "parent": commit_of(args.parent_dir),
         "command": f"python3 perfbench/run.py --workload W --seed S "
@@ -107,7 +129,7 @@ def main(argv=None):
     }
 
     def save():
-        report["summary"] = summarize(report["runs"], better)
+        report["summary"] = summarize(report["runs"], better, bounds)
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
@@ -133,7 +155,8 @@ def main(argv=None):
     for key, out in report["summary"].items():
         for name in better:
             if name in out:
-                print(f"{key} {name}: change won {out[name + '_pairs_won']} pairs, median "
+                print(f"{key} {name}: {out[name + '_verdict']}, change won "
+                      f"{out[name + '_pairs_won']} pairs, median "
                       f"{out[name]['parent']['median']:.4g} -> {out[name]['change']['median']:.4g}")
     return 0
 

@@ -189,7 +189,7 @@ class AlgElem:
         return self.algebra is other.algebra and self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.algebra), tuple(sorted(self.terms.items()))))
+        return hash((id(self.algebra), frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -204,7 +204,7 @@ class AlgElem:
         return self - self.augmentation()
 
     def is_nilpotent(self):
-        return not self.augmentation().terms
+        return all(any(texp) for _, texp in self.terms)
 
     def is_unit(self):
         return self.algebra.is_unit(self)
@@ -414,20 +414,25 @@ class Algebra(metaclass=_OneRingPerKey):
         ideal drops dead products as they form and needs no normal_form pass."""
         N, gens = self.N, self.mono_gens
         out = {}
+        get = out.get
+        vs = [(p2, t2, sum(t2), c2) for (p2, t2), c2 in v.items()]
         for (p1, t1), c1 in u.items():
-            d1 = sum(t1)
-            for (p2, t2), c2 in v.items():
-                if d1 + sum(t2) >= N:
+            room = N - sum(t1)
+            for p2, t2, d2, c2 in vs:
+                if d2 >= room:
                     continue
                 t = tuple(map(add, t1, t2))
                 if gens and any(_divides(e, t) for e in gens):
                     continue
                 k = (tuple(map(add, p1, p2)) if p1 else p1, t)
-                c = out.get(k, 0) + c1 * c2
+                c = c1 * c2
+                b = get(k)
+                if b is not None:       # as in vec_iadd: only a repeated key adds
+                    c = b + c
                 if c:
                     out[k] = c
-                else:
-                    out.pop(k, None)
+                elif b is not None:
+                    del out[k]
         return out if self.monomial_ideal else self.normal_form(out)
 
     # -- element constructors ----------------------------------------------------
@@ -461,20 +466,24 @@ class Algebra(metaclass=_OneRingPerKey):
 
     # -- units and series ---------------------------------------------------------
 
+    def _base_term(self, u):
+        """The one term ((pexp, texp), c) of u with trivial nilpotent part, when u has
+        exactly one and it is nonzero with pexp a unit of S; else None. One scan."""
+        base = [(k, c) for k, c in u.terms.items() if not any(k[1])]
+        if len(base) != 1 or not base[0][1]:
+            return None
+        return base[0] if all(e == 0 or self.params[i].invertible
+                              for i, e in enumerate(base[0][0][0])) else None
+
     def is_unit(self, u):
-        aug = u.augmentation().terms
-        if len(aug) != 1:
-            return False
-        (pexp, _), c = next(iter(aug.items()))
-        if not c:
-            return False
-        return all(e == 0 or self.params[i].invertible for i, e in enumerate(pexp))
+        return self._base_term(u) is not None
 
     def _unit_parts(self, u):
         """u = s*(1+x) with s a unit of S and x nilpotent; returns (s, s^-1, x)."""
-        if not self.is_unit(u):
+        found = self._base_term(u)
+        if found is None:
             raise ValueError("not a unit")
-        (pexp, texp), c = next(iter(u.augmentation().terms.items()))
+        (pexp, texp), c = found
         s = AlgElem(self, {(pexp, texp): c})
         s_inv = AlgElem(self, {(tuple(-e for e in pexp), texp): _q(Fraction(1, c))})
         return s, s_inv, (u if c == 1 and not any(pexp) else u * s_inv) - self.one()
@@ -486,14 +495,14 @@ class Algebra(metaclass=_OneRingPerKey):
 
     def _series(self, x, coeff):
         """sum over k >= 0 of coeff(k) * x^k; stops at the first x^k = 0."""
-        out = self.const(coeff(0))
-        p = x
+        out = self.const(coeff(0)).terms      # raw dicts; one AlgElem at the end
+        p = x.terms
         k = 1
-        while p.terms:
-            out = out + p * coeff(k)
-            p = p * x
+        while p:
+            vec_iadd(out, p, coeff(k))
+            p = self.mul_terms(p, x.terms)
             k += 1
-        return out
+        return AlgElem(self, out)
 
     def invert(self, u):
         _, s_inv, x = self._unit_parts(u)

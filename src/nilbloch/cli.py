@@ -27,7 +27,12 @@ def _parse_relative(text, algebra):
     if text is None or text == "full":
         return dr.FULL
     if text.startswith("power:"):
-        return dr.POWER(int(text.split(":", 1)[1]))
+        k = text.split(":", 1)[1]
+        try:
+            k = int(k)
+        except ValueError:
+            raise ValueError(f"relative spec 'power:k' needs an integer k, not {k!r}") from None
+        return dr.POWER(k)
     if text.startswith("explicit:"):
         srcs = [g for g in text.split(":", 1)[1].split(";") if g.strip()]
         if not srcs:

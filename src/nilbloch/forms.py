@@ -438,7 +438,9 @@ def d_terms(algebra, terms):
                 continue
             low = exps[:g] + (e - 1,) + exps[g + 1:]
             k = ((low[m:], low[:m]), new)
-            raw[k] = raw.get(k, 0) + c * e * sign
+            a = c * (e * sign)      # one Fraction product, not two
+            b = raw.get(k)
+            raw[k] = a if b is None else b + a
     return raw
 
 

@@ -133,11 +133,12 @@ def bloch(s, slot="first"):
 
     def parts(u):
         """(s, x, log(1+x), dlog s, d log(1+x)) for u = s*(1+x); forms as raw terms."""
-        if u not in memo:
+        got = memo.get(u)
+        if got is None:
             base, x = A.unit_split(u)
             log = fm.form_of_element(A.log1p(x)).terms
-            memo[u] = (base, x, log, fm.dlog_base(base).terms, fm.d_terms(A, log))
-        return memo[u]
+            got = memo[u] = (base, x, log, fm.dlog_base(base).terms, fm.d_terms(A, log))
+        return got
 
     raw = {}
     base = []

@@ -16,7 +16,11 @@ column instead of scanning the whole basis.
 
 The helpers around it are the one sparse-vector accumulate of the package
 (vec_iadd in place, vec_add as a copy, vec_scale) and the one span test
-(independent: which vectors extend a span, in order).
+(independent: which vectors extend a span, in order). The accumulate
+stores a key's first contribution as given, without adding it to an
+implicit 0, and adds only when the key repeats: 0 + Fraction(p, q) would
+build a new Fraction of the same value, so values and types (an int stays
+an int) are those of the sum, at less cost.
 """
 
 from fractions import Fraction
@@ -25,12 +29,17 @@ from fractions import Fraction
 def vec_iadd(u, v, c=1):
     """u += c*v in place, dropping zeros; returns u."""
     one = c == 1
+    get = u.get
     for k, a in v.items():
-        b = u.get(k, 0) + (a if one else c * a)
-        if b:
-            u[k] = b
-        else:
-            u.pop(k, None)
+        if not one:
+            a = c * a
+        b = get(k)
+        if b is not None:       # only a repeated key adds: a first one is stored as given
+            a = b + a
+        if a:
+            u[k] = a
+        elif b is not None:
+            del u[k]
     return u
 
 

@@ -247,6 +247,9 @@ def to_elem(ast, algebra):
             vec_iadd(terms, to_elem(node, algebra).terms)
         return AlgElem(algebra, terms)     # a sum of normal forms is one
     if kind == "prod":
+        mono = _monomial(ast[1], algebra)
+        if mono is not None:
+            return algebra.element(dict([mono]))
         out = to_elem(ast[1][0], algebra)
         for node in ast[1][1:]:
             out = out * to_elem(node, algebra)
@@ -270,9 +273,36 @@ def to_elem(ast, algebra):
     if kind == "call":
         arg = to_elem(ast[2], algebra)
         if ast[1] == "exp":
+            if not arg.is_nilpotent():
+                raise ValueError("exp needs a nilpotent argument")
             return algebra.exp_nil(arg)
-        return algebra.log1p(arg - algebra.one())
+        x = arg - algebra.one()
+        if not x.is_nilpotent():
+            raise ValueError("log needs an argument 1 + x with x nilpotent")
+        return algebra.log1p(x)
     raise ValueError(f"unknown AST node {kind!r}")
+
+
+def _monomial(factors, algebra):
+    """A product's factors as one term ((pexp, texp), c) when each is a literal, a
+    variable or a nonnegative power of one, so to_elem forms it in one step; else
+    None, and the factors take the generic path with its checks and messages."""
+    c = 1
+    pexp, texp = [0] * algebra.n_params, [0] * algebra.m
+    for node in factors:
+        if node[0] == "num":
+            c *= node[1]
+            continue
+        node, e = (node[1], node[2]) if node[0] == "pow" and node[2] >= 0 else (node, 1)
+        if node[0] != "var":
+            return None
+        if node[1] in algebra.nil_index:
+            texp[algebra.nil_index[node[1]]] += e
+        elif node[1] in algebra.param_index:
+            pexp[algebra.param_index[node[1]]] += e
+        else:
+            return None
+    return (tuple(pexp), tuple(texp)), c
 
 
 def parse_element(text, algebra):
@@ -416,9 +446,16 @@ def algebra_to_json(algebra):
     return algebra.describe()
 
 
+def _known_keys(data, keys, what):
+    unknown = [k for k in data if k not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {what} (known: {', '.join(keys)})")
+
+
 def algebra_from_json(data):
     if not isinstance(data, dict):
         raise ValueError("algebra spec must be a JSON object")
+    _known_keys(data, ("nilpotents", "bound", "ideal", "params"), "algebra spec")
     m, bound = data.get("nilpotents"), data.get("bound")
     if type(m) is not int or type(bound) is not int:       # a JSON true is no integer
         raise ValueError("algebra spec needs integer 'nilpotents' and 'bound'")
@@ -428,6 +465,8 @@ def algebra_from_json(data):
     if not (isinstance(params, list)
             and all(isinstance(p, dict) and isinstance(p.get("name"), str) for p in params)):
         raise ValueError("every 'params' entry needs a string 'name'")
+    for p in params:
+        _known_keys(p, ("name", "invertible"), "'params' entry")
     if not all(isinstance(p.get("invertible", False), bool) for p in params):
         raise ValueError("a 'params' entry's 'invertible' must be true or false")
     return Algebra(m, bound, ideal=[polynomial_terms(g, m, bound) for g in ideal],

@@ -587,6 +587,34 @@ def test_cli_algebra_file_with_wrong_json_types_exits_two(tmp_path, capsys, spec
     assert code == 2 and not out and message in err
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"nilpotents": 2, "bound": 5, "ideals": ["t1^2+t2^3"]}, "'ideals' in algebra spec"),
+    ({"nilpotents": 1, "bound": 3, "params": [{"name": "a", "inverible": True}]},
+     "'inverible' in 'params' entry"),
+], ids=["top_level", "params_entry"])
+def test_algebra_spec_refuses_unknown_keys(tmp_path, capsys, spec, key):
+    with pytest.raises(ValueError, match=f"unknown key {key}"):
+        algebra_from_json(spec)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, ["cohom", "--algebra", str(path)])
+    assert code == 2 and not out and f"unknown key {key}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cohom", "--m", "1", "--N", "3", "--relative", "power:x"],
+     "relative spec 'power:k' needs an integer k, not 'x'"),
+    (["bloch", "--m", "1", "--N", "3", "--symbol", "{log(2), 3}"],
+     "log needs an argument 1 + x with x nilpotent"),
+    (["bloch", "--m", "1", "--N", "3", "--symbol", "{exp(1+t), 3}"],
+     "exp needs a nilpotent argument"),
+], ids=["power_spec", "log", "exp"])
+def test_cli_messages_name_the_input_not_internals(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and message in err
+    assert "int()" not in err and "log1p" not in err and "exp_nil" not in err
+
+
 def test_algebra_spec_flags_are_json_booleans():
     A = algebra_from_json({"nilpotents": 1, "bound": 3, "params": [
         {"name": "a", "invertible": False}, {"name": "b", "invertible": True}, {"name": "c"}]})
