@@ -309,6 +309,9 @@ class Algebra(metaclass=_OneRingPerKey):
         gens = [g for g in map(poly_terms, ideal) if g]     # zero generators add nothing
         for g in gens:
             for texp in g:
+                if len(texp) != self.m or any(not isinstance(e, int) or e < 0 for e in texp):
+                    raise ValueError(f"ideal generator exponent {texp} is not "
+                                     f"m = {self.m} nonnegative integers")
                 if sum(texp) == 0:
                     raise ValueError("degree-zero ideal generators are not supported")
         self.monomial_ideal = all(len(g) == 1 for g in gens)

@@ -76,7 +76,7 @@ MAX_TABLE_ROWS = 500_000     # a table is held and printed whole, about 2 KB a r
 
 def POWER(k):
     if k < 1:
-        raise ValueError("invalid relative spec")
+        raise ValueError(f"invalid relative spec: power:k needs k >= 1, not {k}")
     return RelativeSpec("power", k=k)
 
 
@@ -261,8 +261,6 @@ class WholeRelative(_Relative):
     weight of R/I. J and I are w'-homogeneous, so restriction and d keep the key."""
 
     def __init__(self, algebra, rel):
-        if algebra.n_params:
-            raise ValueError("invalid relative spec")
         super().__init__(algebra, rel)
         self._kernels = {}
 
@@ -302,12 +300,29 @@ class WholeRelative(_Relative):
         return self._kernels[n]
 
 
+def _spec_fault(A, rel):
+    """Why rel names no relative presentation of A, or None."""
+    if rel.kind == "power":
+        if A.m != 1:
+            return f"power:k needs m = 1, not m = {A.m}"
+        if not A.monomial_ideal:
+            return "power:k needs a monomial ideal"
+        if rel.k > A.N:
+            return f"power:{rel.k} needs k <= N = {A.N}"
+    elif rel.kind == "explicit":
+        if A.n_params:
+            return "explicit generators need an algebra without parameters"
+    elif rel.kind != "full":
+        return f"unknown kind {rel.kind!r}"
+    return None
+
+
 def relative(algebra, rel):
     cache = algebra.__dict__.setdefault("_rel_cache", {})
     if rel not in cache:
-        if rel.kind not in ("full", "power", "explicit") or rel.kind == "power" and (
-                algebra.m != 1 or not algebra.monomial_ideal or rel.k > algebra.N):
-            raise ValueError("invalid relative spec")
+        fault = _spec_fault(algebra, rel)
+        if fault:
+            raise ValueError(f"invalid relative spec: {fault}")
         cache[rel] = (WholeRelative if rel.kind == "explicit" else BlockedRelative)(algebra, rel)
     return cache[rel]
 

@@ -482,23 +482,25 @@ def scale(elem, form):
     return Form(A, form.degree, wedge_terms(A, form_of_element(elem).terms, form.terms))
 
 
-def dlog_base(s):
-    """dlog of a unit s = c*a^e of the base: sum_j e_j a_j^-1 da_j, 0 without parameters.
+def unit_logs(u):
+    """(s, x, log(1+x), dlog s, dlog u) for a unit u = s*(1+x), the forms as raw terms.
 
-    Canonical as built: every relation row has a dt in its word, and a_j^-1 is alive."""
-    A = s.algebra
-    ((pexp, texp), _), = s.terms.items()
-    return Form(A, 1, {((tuple(-1 if k == j else 0 for k in range(A.n_params)), texp),
-                        (A.m + j,)): e for j, e in enumerate(pexp) if e}, canonical=True)
-
-
-def dlog(u):
-    """du/u for a unit u = s*(1+x), as dlog s + d log(1+x): over Q the
-    truncating log series gives d log(1+x) = dx/(1+x) exactly, with no inverse."""
+    dlog s = sum_j e_j a_j^-1 da_j for s = c*a^e of the base (0 without parameters),
+    and dlog u = dlog s + d log(1+x): over Q the truncating log series gives
+    d log(1+x) = dx/(1+x) exactly, with no inverse."""
     A = u.algebra
     s, x = A.unit_split(u)
     log = form_of_element(A.log1p(x)).terms
-    return Form(A, 1, vec_add(dlog_base(s).terms, d_terms(A, log)))
+    ((pexp, texp), _), = s.terms.items()
+    dlog_s = {((tuple(-1 if k == j else 0 for k in range(A.n_params)), texp), (A.m + j,)): e
+              for j, e in enumerate(pexp) if e}
+    dlog_x = d_terms(A, log)
+    return s, x, log, dlog_s, vec_add(dlog_s, dlog_x) if dlog_s else dlog_x
+
+
+def dlog(u):
+    """du/u for a unit u, canonical; its raw terms are unit_logs(u)[4]."""
+    return Form(u.algebra, 1, unit_logs(u)[4])
 
 
 def euler_homotopy(form):

@@ -1,30 +1,26 @@
 """Milnor K-symbols and their Bloch images.
 
-A SymbolSum is an integer combination of unit tuples {r_1,...,r_{n+1}}. The
-Bloch map splits every entry as unit = s*(1+x) with s in the base and x
-nilpotent, expands multilinearly, drops sub-tensors containing a literal 1,
-reports sub-tensors with no nilpotent entry as the discarded base component,
-and evaluates each remaining sub-tensor at its first nilpotent slot:
+A SymbolSum is an integer combination of unit tuples {u_0,...,u_n}. The Bloch
+map splits each entry as u_j = s_j*(1+x_j), s_j in the base and x_j nilpotent,
+and evaluates {1+x, v_1, ..} |-> log(1+x) * dlog v_1 ^ .. multilinearly: taking
+each sub-tensor at its first nilpotent slot i, the choices left of i are s_j
+and those right of it sum to u_j, so there is one term per slot with x_i != 0:
 
-    {v_1,..,v_i, 1+x, v_{i+2},..} |-> (-1)^i log(1+x) * wedge of dlog(v_j)
+    {u_0,..,u_n} |-> sum_i (-1)^i log(1+x_i) * wedge_{j<i} dlog s_j
+                                             * wedge_{j>i} dlog u_j
 
-Over Q log exists on 1+x, and dlog(1+x) = d log(1+x) exactly in Omega_R,
-so each distinct entry costs one logarithm per symbol: s, x, log(1+x),
-dlog s (sum of e_j da_j / a_j, 0 without parameters) and d log(1+x) are
-computed once, kept in the symbol's memo and reused by every sub-tensor and
-by both slots. Only sub-tensors that can contribute are visited: a slot
-offers 1+x only if x != 0 and s only if dlog s != 0, and none is visited
-once the arity exceeds m + params + 1, where Omega^n = 0. Every part stays
-raw terms; they are wedged and summed raw, then canonicalized once in
-Omega^n/d(Omega^{n-1}) relative to the full nilpotent ideal. The relations
-form a dg-ideal, so canonicalizing only the sum gives the same class.
-Evaluating at the last nilpotent slot instead is kept as an independence
-check; the two agree as classes.
+Sub-tensors with no nilpotent entry and no literal 1 are reported as the
+discarded base component. Over Q dlog(1+x) = d log(1+x) exactly, so each
+distinct entry costs one forms.unit_logs per symbol, kept in its memo. Nothing
+is evaluated once the arity exceeds m + params + 1, where Omega^n = 0. The
+terms are wedged and summed raw, then canonicalized once in
+Omega^n/d(Omega^{n-1}) relative to the full nilpotent ideal; the relations form
+a dg-ideal, so this gives the same class. Evaluating at the last nilpotent slot
+(dlog u_j left of i, dlog s_j right of it) is kept as an independence check.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .linalg import independent, vec_iadd
 from .algebra import Algebra, AlgElem, RingMap, signed_sum
@@ -41,7 +37,7 @@ class SymbolSum:
     def __init__(self, algebra, arity, terms):
         self.algebra = algebra
         self.arity = arity
-        self._parts = {}        # entry -> its Bloch parts, filled by bloch
+        self._parts = {}        # entry -> forms.unit_logs(entry), filled by _logs
         clean = []
         for coeff, tup in terms:
             if len(tup) != arity:
@@ -56,6 +52,13 @@ class SymbolSum:
             if coeff:
                 clean.append((int(coeff), tuple(entries)))
         self.terms = tuple(clean)
+
+    def _logs(self, u):
+        """forms.unit_logs(u) of an entry, once per symbol: bloch and dlog_symbol share it."""
+        got = self._parts.get(u)
+        if got is None:
+            got = self._parts[u] = fm.unit_logs(u)
+        return got
 
     def __add__(self, other):
         if not isinstance(other, SymbolSum):
@@ -102,9 +105,9 @@ def dlog_symbol(s):
     A = s.algebra
     raw = {}
     for c, (u, *rest) in s.terms:
-        piece = fm.dlog(u).terms
+        piece = s._logs(u)[4]
         for v in rest:
-            piece = fm.wedge_terms(A, piece, fm.dlog(v).terms)
+            piece = fm.wedge_terms(A, piece, s._logs(v)[4]) if piece else piece
         vec_iadd(raw, piece, c)
     return Form(A, s.arity, raw)
 
@@ -129,39 +132,23 @@ def bloch(s, slot="first"):
     """Bloch image of a symbol sum, canonical in Omega^n/d relative full."""
     A = s.algebra
     n = s.arity - 1
-    memo = s._parts
-
-    def parts(u):
-        """(s, x, log(1+x), dlog s, d log(1+x)) for u = s*(1+x); forms as raw terms."""
-        got = memo.get(u)
-        if got is None:
-            base, x = A.unit_split(u)
-            log = fm.form_of_element(A.log1p(x)).terms
-            got = memo[u] = (base, x, log, fm.dlog_base(base).terms, fm.d_terms(A, log))
-        return got
-
+    first = slot == "first"
     raw = {}
     base = []
     one = A.one()
     live = s.arity <= A.m + A.n_params + 1      # Omega^n = 0 above
     for coeff, tup in s.terms:
-        entries = [parts(u) for u in tup]
+        entries = [s._logs(u) for u in tup]     # (s, x, log(1+x), dlog s, dlog u)
         if all(e[0] != one for e in entries):
             base.append((coeff, tuple(e[0] for e in entries)))
         if not live:
             continue
-        # a slot offers 1+x (True) when x != 0, and s (False) when dlog s != 0
-        offers = [[nil for nil, ok in ((True, e[1]), (False, e[3])) if ok] for e in entries]
-        for choice in product(*offers):
-            nil_slots = [i for i, nil in enumerate(choice) if nil]
-            if not nil_slots:
-                continue
-            pick = nil_slots[0] if slot == "first" else nil_slots[-1]
-            piece = entries[pick][2]
-            for j, (nil, e) in enumerate(zip(choice, entries)):
-                if j != pick:
-                    piece = fm.wedge_terms(A, piece, e[4] if nil else e[3])
-            vec_iadd(raw, piece, coeff * (-1) ** pick)
+        for i, e in enumerate(entries):
+            factors = [f[3] if (j < i) == first else f[4] for j, f in enumerate(entries) if j != i]
+            piece = e[2] if all(factors) else {}    # log(1+x_i), empty when x_i = 0
+            for g in factors:
+                piece = fm.wedge_terms(A, piece, g) if piece else piece
+            vec_iadd(raw, piece, coeff * (-1) ** i)
     rep = dr.quotient_class(Form(A, n, raw), dr.FULL)
     return BlochClass(A, n, rep, base, slot)
 

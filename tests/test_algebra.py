@@ -339,11 +339,27 @@ def test_ring_table_keeps_the_most_recent_rings():
     assert Algebra(1, 1) is not rings[0]        # the oldest was dropped
 
 
+@pytest.mark.parametrize("gen", [{(1, 0, 1): 1}, {(1,): 1}], ids=["long", "short"])
+def test_malformed_explicit_generators_are_refused(gen):
+    """An EXPLICIT relative builds its R/I as an Algebra, so it gets the same check: the
+    long generator once gave a table with degree-1 dim 15, the short one an IndexError."""
+    from nilbloch.derham import EXPLICIT, cohomology
+    with pytest.raises(ValueError, match=r"is not m = 2 nonnegative integers"):
+        cohomology(Algebra(2, 4), EXPLICIT([gen]))
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(params=[("d", False)]), "must not begin with 'd'"),
     (dict(ideal=[{(0, 0): 1, (1, 0): 1}]), "degree-zero ideal generators"),
     (dict(ideal=[{(1, 1): 1, (2, 0): 1}], params=[("a", False)]), "requires monomial ideal"),
-], ids=["param_name", "degree_zero", "parametric_non_monomial"])
+    # malformed exponents: once a ring described as t1, an IndexError in describe(),
+    # and a ring described as t1^-1*t2^2
+    (dict(ideal=[{(1,): 1}]), "is not m = 2 nonnegative integers"),
+    (dict(ideal=[{(1, 0, 5): 1, (0, 1): 1}]), "is not m = 2 nonnegative integers"),
+    (dict(ideal=[{(-1, 2): 1}]), "is not m = 2 nonnegative integers"),
+    (dict(ideal=[{(Fraction(1), 1): 1}]), "is not m = 2 nonnegative integers"),
+], ids=["param_name", "degree_zero", "parametric_non_monomial",
+        "exponent_short", "exponent_long", "exponent_negative", "exponent_fraction"])
 def test_failed_construction_is_not_kept(kwargs, message):
     for _ in range(2):
         with pytest.raises(ValueError, match=message):

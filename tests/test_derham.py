@@ -154,6 +154,21 @@ def test_power_spec_validation():
         relative(B, POWER(5))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: POWER(0), "power:k needs k >= 1, not 0"),
+    (lambda: relative(Algebra(1, 3), POWER(99)), "power:99 needs k <= N = 3"),
+    (lambda: relative(Algebra(2, 3), POWER(2)), "power:k needs m = 1, not m = 2"),
+    (lambda: relative(Algebra(1, 4, ideal=[{(2,): 1, (3,): 1}]), POWER(2)),
+     "power:k needs a monomial ideal"),
+    (lambda: relative(Algebra(1, 3, params=[("a", False)]), EXPLICIT([{(1,): 1}])),
+     "explicit generators need an algebra without parameters"),
+], ids=["k_zero", "k_above_N", "two_nilpotents", "non_monomial", "explicit_parametric"])
+def test_relative_spec_faults_are_named(make, message):
+    with pytest.raises(ValueError, match="invalid relative spec: ") as err:
+        make()
+    assert str(err.value) == f"invalid relative spec: {message}"
+
+
 def test_explicit_relative_membership():
     from nilbloch.forms import form_of_element
     A = Algebra(2, 6)

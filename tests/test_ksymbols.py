@@ -319,6 +319,38 @@ def test_bloch_matches_reference(s, slot):
     assert cl.base == base
 
 
+@settings(max_examples=60, deadline=None)
+@given(s=_symbol_sum())
+def test_dlog_symbol_matches_wedge_of_canonical_dlogs(s):
+    want = zero_form(s.algebra, s.arity)
+    for c, (u, *rest) in s.terms:
+        piece = fm.dlog(u)
+        for v in rest:
+            piece = fm.wedge(piece, fm.dlog(v))
+        want = want + c * piece
+    assert dlog_symbol(s) == want
+
+
+@pytest.mark.parametrize("arity", [3, 4])
+@pytest.mark.parametrize("slot", ["first", "last"])
+def test_bloch_takes_one_wedge_chain_per_slot(monkeypatch, arity, slot):
+    """Every entry has s != 1 (with dlog s != 0) and x != 0, so all 2^(n+1) - 1 sub-tensors
+    could contribute; the closed form wedges n factors onto each of the n+1 slot logs."""
+    A = Algebra(2, 4, params=[("a", True), ("b", True)])
+    a, b, t1, t2 = A.var("a"), A.var("b"), A.var("t1"), A.var("t2")
+    units = (a * (1 + t1), 2 * b ** -1 * (1 - t2 + t1 * t2),
+             a * b * (1 + t1 * t2 + t2 ** 2), -(b ** 2) * (1 + t1 ** 2))[:arity]
+    s = SymbolSum(A, arity, [(1, units), (-2, units[::-1])])
+    want = bloch(s, slot)
+    calls = []
+    wedge_terms = fm.wedge_terms
+    monkeypatch.setattr(fm, "wedge_terms", lambda *args: calls.append(1) or wedge_terms(*args))
+    got = bloch(SymbolSum(A, arity, s.terms), slot)
+    n = arity - 1
+    assert 0 < len(calls) <= len(s.terms) * (n + 1) * n
+    assert (got.rep, got.base) == (want.rep, want.base) and got.rep
+
+
 GAP = Algebra(2, 6, ideal=[{(4, 0): 1, (2, 3): 1, (0, 5): 1}])
 READ_PATH_ALGEBRAS = [Algebra(2, 4), Algebra(3, 4, ideal=[{(1, 1, 0): 1}, {(0, 0, 2): 1}]),
                       Algebra(2, 3, params=[("b", True)]),

@@ -428,6 +428,24 @@ def test_cli_zero_denominator_exits_two(capsys):
     assert code == 2 and not out and "division by zero at 1:9" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "1", "--N", "3", "--relative", "power:0"], "power:k needs k >= 1, not 0"),
+    (["--m", "1", "--N", "3", "--relative", "power:99"], "power:99 needs k <= N = 3"),
+    (["--m", "2", "--N", "3", "--relative", "power:2"], "power:k needs m = 1, not m = 2"),
+    (["--m", "1", "--N", "4", "--ideal", "t^2+t^3", "--relative", "power:2"],
+     "power:k needs a monomial ideal"),
+    (["--relative", "explicit:t"], "explicit generators need an algebra without parameters"),
+], ids=["k_zero", "k_above_N", "two_nilpotents", "non_monomial", "explicit_parametric"])
+def test_cli_relative_spec_faults_exit_two(capsys, tmp_path, argv, message):
+    spec = tmp_path / "alg.json"
+    spec.write_text(json.dumps({"nilpotents": 1, "bound": 3, "params": [{"name": "a"}]}))
+    if "--m" not in argv:
+        argv = ["--algebra", str(spec)] + argv
+    code, out, err = run_cli(capsys, ["cohom"] + argv)
+    assert code == 2 and not out
+    assert err == f"error: invalid relative spec: {message}\n"
+
+
 def test_cli_param_without_name_exits_two(capsys, tmp_path):
     spec = tmp_path / "alg.json"
     spec.write_text(json.dumps({"nilpotents": 1, "bound": 3,
