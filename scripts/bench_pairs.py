@@ -12,16 +12,21 @@ that checkout, so each side measures its own sources with its own
 benchmark files. After the pairs, one `--trace 1` run per side and
 workload (seed TRACE_SEED, TRACE_SECONDS long) gives the per-layer metrics.
 
+The benchmark runs its workers without writing bytecode, so a side whose
+src/nilbloch/__pycache__ already holds .pyc files starts faster for that
+reason alone. Both sides must be in the same state: when only one holds .pyc
+files, the script exits 2 before any run.
+
 The JSON written to --out (rewritten after every pair, so an interrupted
 run keeps the pairs it finished) has the keys parent, command, machine, pairs,
-claim, summary, runs and trace. summary["W/S"] holds, per end-to-end
-metric, each side's median, min, max, iqr (third minus first quartile)
-and n; the failed counts per run; and "<metric>_pairs_won", the pairs in
-which the change read better (ties count for neither side); and
-"<metric>_verdict" (see verdict). One line per workload, seed and metric
-goes to stdout with the verdict, the wins and both medians. Neither
-checkout is modified; BENCHMARK.json of the change checkout is only read,
-for each metric's direction and bound.
+bytecode (per side, whether it held .pyc files), claim, summary, runs and
+trace. summary["W/S"] holds, per end-to-end metric, each side's median,
+min, max, iqr (third minus first quartile) and n; the failed counts per
+run; and "<metric>_pairs_won", the pairs in which the change read better
+(ties count for neither side); and "<metric>_verdict" (see verdict). One
+line per workload, seed and metric goes to stdout with the verdict, the
+wins and both medians. Neither checkout is modified; BENCHMARK.json of the
+change checkout is only read, for each metric's direction and bound.
 """
 
 import argparse
@@ -93,6 +98,12 @@ def summarize(runs, better, bounds):
     return summary
 
 
+def has_bytecode(root):
+    """Whether root's src/nilbloch/__pycache__ holds .pyc files."""
+    cache = os.path.join(root, "src", "nilbloch", "__pycache__")
+    return os.path.isdir(cache) and any(n.endswith(".pyc") for n in os.listdir(cache))
+
+
 def commit_of(root):
     proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
                           capture_output=True, text=True)
@@ -111,6 +122,13 @@ def main(argv=None):
     ap.add_argument("--claim", default="none")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent_dir, "change": args.change_dir}
+    bytecode = {side: has_bytecode(root) for side, root in roots.items()}
+    if bytecode["parent"] != bytecode["change"]:
+        only = "parent" if bytecode["parent"] else "change"
+        print(f"error: only the {only} checkout has .pyc files in src/nilbloch/__pycache__, "
+              f"so its start-up would read faster for that alone; remove them, or "
+              f"byte-compile both sides, and run again", file=sys.stderr)
+        return 2
     workloads = args.workloads.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
@@ -124,6 +142,7 @@ def main(argv=None):
         "machine": f"{os.cpu_count()} CPUs, {platform.python_implementation()} "
                    f"{platform.python_version()}",
         "pairs": "odd pairs run the parent, then the change; even pairs run the change first",
+        "bytecode": bytecode,
         "claim": args.claim,
         "summary": {}, "runs": [], "trace": [],
     }

@@ -12,10 +12,9 @@ existed and are frozen here as constants.
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Algebra
+from .algebra import Algebra, Record
 from . import forms as fm
 from . import derham as dr
 from . import ksymbols as ks
@@ -33,12 +32,14 @@ CURVE_NESTED = {"A": 11, "B": 15, "C": 5, "correction": 1}
 SPAN_DIMS = {(3, 1): {0: 2, 1: 0}, (3, 2): {0: 5, 1: 3}, (4, 1): {0: 3, 1: 0}}
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+class CriterionResult(Record):
+    _fields = ("name", "passed", "details", "seconds")
+
+    def __init__(self, name, passed, details=None, seconds=0.0):
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.seconds = seconds
 
     def to_json(self):
         return {"name": self.name, "passed": self.passed,

@@ -12,7 +12,6 @@ Monomials are pairs (pexp, texp) of integer exponent tuples; parameter
 exponents may be negative only on parameters declared invertible.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial, lcm
@@ -92,10 +91,53 @@ def _ideal_rows(m, gens, bound):
     return rows
 
 
-@dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    invertible: bool = False
+class Record:
+    """A plain record: the fields named in _fields, an __init__ taking each of them
+    by position or keyword, field-wise __eq__, no hash, and the repr
+    Name(field=value, ...). A record built per query or per ring key writes its
+    own __init__ (and, when frozen, __eq__ and __hash__)."""
+
+    _fields = ()
+    __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in names[len(args):]:
+            setattr(self, name, kwargs[name])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields
+        return [getattr(self, f) for f in names] == [getattr(other, f) for f in names]
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _frozen(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+class ParamSpec(Record):
+    _fields = ("name", "invertible")
+    __setattr__ = __delattr__ = Record._frozen
+
+    def __init__(self, name, invertible=False):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "invertible", invertible)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.invertible) == (other.name, other.invertible)
+
+    def __hash__(self):
+        return hash((self.name, self.invertible))
 
 
 def _param_spec(p):
@@ -236,7 +278,11 @@ def poly_terms(f):
         f = {texp: c for (_, texp), c in f.terms.items()}
     out = {}
     for k, c in dict(f).items():
-        vec_iadd(out, {tuple(k): _q(c)})
+        try:
+            texp = tuple(k)
+        except TypeError:
+            raise ValueError(f"exponent {k!r} is not a tuple of integers") from None
+        vec_iadd(out, {texp: _q(c)})
     return out
 
 
@@ -603,12 +649,9 @@ class Algebra(metaclass=_OneRingPerKey):
         }
 
 
-@dataclass
-class RingMap:
+class RingMap(Record):
     """Named-variable substitution map between algebras."""
-    source: "Algebra"
-    target: "Algebra"
-    images: dict
+    _fields = ("source", "target", "images")
 
     def __call__(self, elem):
         return self.source.substitute(elem, self.images, self.target)

@@ -5,14 +5,15 @@ runs of the same command differ at most in the timing field) and exits 0
 when all verdicts in the report pass, 1 on a verification failure, 2 on
 usage or input errors, and 3 on an internal error (any other exception),
 with a JSON error object instead of the report. --summary adds short
-human-readable lines on stderr.
+human-readable lines on stderr. Each command runs in a fresh interpreter,
+so acceptance (with sampling and random) is imported only by the
+subcommands that run its scans, and traceback only on the exit-3 path.
 """
 
 import argparse
 import json
 import sys
 import time
-import traceback
 
 from .algebra import Algebra
 from . import parser as ps
@@ -20,7 +21,6 @@ from . import forms as fm
 from . import derham as dr
 from . import ksymbols as ks
 from . import singularities as sg
-from . import acceptance
 
 
 def _parse_relative(text, algebra):
@@ -100,6 +100,7 @@ def _cmd_bloch(args):
 
 
 def _cmd_verify_homotopy(args):
+    from . import acceptance
     rows, ok = acceptance.homotopy_scan(args.N, args.max_degree, args.parametric)
     out = {"N": args.N, "rows": rows, "passed": ok}
     total = sum(r["checked"] for r in rows)
@@ -108,6 +109,7 @@ def _cmd_verify_homotopy(args):
 
 
 def _cmd_verify_steinberg(args):
+    from . import acceptance
     rows, ok = acceptance.steinberg_scan(args.seed, args.count)
     out = {"count": args.count, "seed": args.seed, "passed": ok,
            "instances": rows}
@@ -127,6 +129,7 @@ def _cmd_verify_key_identity(args):
 
 
 def _cmd_verify_filtration(args):
+    from . import acceptance
     if (args.i is None) != (args.j is None):
         raise ValueError("give both --i and --j, or neither")
     pairs = None if args.i is None else [(args.i, args.j)]
@@ -189,6 +192,7 @@ def _cmd_singular(args):
 
 
 def _cmd_selftest(args):
+    from . import acceptance
     results = acceptance.run_all()
     ok = all(r.passed for r in results)
     out = {"criteria": [r.to_json() for r in results], "passed": ok}
@@ -288,6 +292,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
         traceback.print_exc()
         error = {"type": type(exc).__name__, "message": str(exc)}
         print(json.dumps({"command": args.cmd, "error": error}, indent=2, sort_keys=True))

@@ -43,22 +43,32 @@ a non-invertible parameter. So a FULL/POWER table builds no FormBlock at
 all; FormBlock serves bases, canonical coordinates and class solves.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb, prod
 
 from .linalg import RowSpace, independent, nullspace, vec_dot, vec_iadd
-from .algebra import Algebra, RingMap, poly_terms
+from .algebra import Algebra, Record, RingMap, poly_terms
 from . import forms as fm
 from .forms import Form, form_block, coord_sort_key, internal_degree
 
 
-@dataclass(frozen=True)
-class RelativeSpec:
-    kind: str
-    k: int = 1
-    gens: tuple = ()
+class RelativeSpec(Record):
+    _fields = ("kind", "k", "gens")
+    __setattr__ = __delattr__ = Record._frozen
+
+    def __init__(self, kind, k=1, gens=()):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "gens", gens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.k, self.gens) == (other.kind, other.k, other.gens)
+
+    def __hash__(self):
+        return hash((self.kind, self.k, self.gens))
 
     def label(self):
         if self.kind == "full":
@@ -332,14 +342,16 @@ def relative_basis(algebra, rel, n):
     return [Form(algebra, n, v, canonical=True) for v in pres.rel_vectors(n)]
 
 
-@dataclass
-class ExactnessCertificate:
-    exact: bool
-    degree: int
-    cutoff: object
-    primitive: object = None       # Form with d(primitive) = form (mod cutoff)
-    witness: object = None         # dual functional as {coord: Fraction}
-    witness_block: object = None
+class ExactnessCertificate(Record):
+    _fields = ("exact", "degree", "cutoff", "primitive", "witness", "witness_block")
+
+    def __init__(self, exact, degree, cutoff, primitive=None, witness=None, witness_block=None):
+        self.exact = exact
+        self.degree = degree
+        self.cutoff = cutoff
+        self.primitive = primitive          # Form with d(primitive) = form (mod cutoff)
+        self.witness = witness              # dual functional as {coord: Fraction}
+        self.witness_block = witness_block
 
     def to_json(self):
         out = {"exact": self.exact, "degree": self.degree, "cutoff": self.cutoff}
@@ -389,11 +401,13 @@ def check_certificate(cert, form, rel):
     return all(vec_dot(w, row) == 0 for row in rows)
 
 
-@dataclass
-class CohomologyReport:
-    algebra: dict
-    relative_spec: str
-    rows: list
+class CohomologyReport(Record):
+    _fields = ("algebra", "relative_spec", "rows")
+
+    def __init__(self, algebra, relative_spec, rows):
+        self.algebra = algebra
+        self.relative_spec = relative_spec
+        self.rows = rows
 
     def all_zero(self):
         return all(r["dim_h"] == 0 for r in self.rows)
@@ -463,30 +477,12 @@ def _h_basis(pres, algebra, n):
             for v in independent(cycles, pres.global_class(n))]
 
 
-@dataclass
-class SequenceReport:
-    algebra: dict
-    inner: str
-    outer: str
-    degree: int
-    degreewise: list
-    dim_inner_classes: int
-    dim_outer_classes: int
-    dim_quotient_classes: int
-    h_prev_outer: int
-    h_prev_quotient: int
-    rank_alpha: int
-    rank_beta: int
-    rank_inclusion: int
-    rank_projection: int
-    correction_dim: int
-    alpha_injective: bool
-    additivity_ok: bool
-    exact_at_h: bool
-    exact_at_inner: bool
-    exact_at_outer: bool
-    surjective: bool
-    passed: bool
+class SequenceReport(Record):
+    _fields = ("algebra", "inner", "outer", "degree", "degreewise", "dim_inner_classes",
+               "dim_outer_classes", "dim_quotient_classes", "h_prev_outer", "h_prev_quotient",
+               "rank_alpha", "rank_beta", "rank_inclusion", "rank_projection",
+               "correction_dim", "alpha_injective", "additivity_ok", "exact_at_h",
+               "exact_at_inner", "exact_at_outer", "surjective", "passed")
 
     def to_json(self):
         return {k: v for k, v in self.__dict__.items()}
@@ -600,11 +596,8 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
 # -- the substitution isomorphism ------------------------------------------------
 
 
-@dataclass
-class SigmaReport:
-    N: int
-    rows: list
-    passed: bool
+class SigmaReport(Record):
+    _fields = ("N", "rows", "passed")
 
     def to_json(self):
         return {"N": self.N, "rows": self.rows, "passed": self.passed}

@@ -19,11 +19,10 @@ a dg-ideal, so this gives the same class. Evaluating at the last nilpotent slot
 (dlog u_j left of i, dlog s_j right of it) is kept as an independence check.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import independent, vec_iadd
-from .algebra import Algebra, AlgElem, RingMap, signed_sum
+from .algebra import Algebra, AlgElem, Record, RingMap, signed_sum
 from . import forms as fm
 from .forms import Form, block_key
 from . import derham as dr
@@ -35,6 +34,8 @@ class SymbolSum:
     __slots__ = ("algebra", "arity", "terms", "_parts")
 
     def __init__(self, algebra, arity, terms):
+        if arity < 1:
+            raise ValueError(f"a symbol needs arity at least 1, not {arity}")
         self.algebra = algebra
         self.arity = arity
         self._parts = {}        # entry -> forms.unit_logs(entry), filled by _logs
@@ -112,13 +113,15 @@ def dlog_symbol(s):
     return Form(A, s.arity, raw)
 
 
-@dataclass
-class BlochClass:
-    algebra: object
-    degree: int
-    rep: object            # canonical Form representative
-    base: list             # discarded sub-tensors with no nilpotent entry
-    slot: str = "first"
+class BlochClass(Record):
+    _fields = ("algebra", "degree", "rep", "base", "slot")
+
+    def __init__(self, algebra, degree, rep, base, slot="first"):
+        self.algebra = algebra
+        self.degree = degree
+        self.rep = rep          # canonical Form representative
+        self.base = base        # discarded sub-tensors with no nilpotent entry
+        self.slot = slot
 
     def is_zero(self):
         return not self.rep.terms
@@ -198,15 +201,8 @@ def swap_symbol(s):
 # -- verifiers -------------------------------------------------------------------
 
 
-@dataclass
-class KeyIdentityReport:
-    i: int
-    j: int
-    passed: bool
-    cutoff: int
-    bloch_rep: str
-    target_rep: str
-    certificate: object
+class KeyIdentityReport(Record):
+    _fields = ("i", "j", "passed", "cutoff", "bloch_rep", "target_rep", "certificate")
 
     def to_json(self):
         return {"i": self.i, "j": self.j, "passed": self.passed,
@@ -244,13 +240,8 @@ def verify_key_identity(i, j):
                              fm.form_str(cls.rep), fm.form_str(target_cls), cert)
 
 
-@dataclass
-class FiltrationReport:
-    p: int
-    i: int
-    j: int
-    vanishes: bool
-    rep: str
+class FiltrationReport(Record):
+    _fields = ("p", "i", "j", "vanishes", "rep")
 
     def to_json(self):
         return {"p": self.p, "i": self.i, "j": self.j,
@@ -282,10 +273,8 @@ def filtration_strictness_witness(p):
     return None
 
 
-@dataclass
-class SkewReport:
-    passed: bool
-    rep: str
+class SkewReport(Record):
+    _fields = ("passed", "rep")
 
     def to_json(self):
         return {"passed": self.passed, "rep": self.rep}
@@ -297,13 +286,8 @@ def verify_skew(s):
     return SkewReport(cls.is_zero(), fm.form_str(cls.rep))
 
 
-@dataclass
-class SpanReport:
-    degree: int
-    dim_target: int
-    rank: int
-    count: int
-    full: bool
+class SpanReport(Record):
+    _fields = ("degree", "dim_target", "rank", "count", "full")
 
     def to_json(self):
         return {"degree": self.degree, "dim_target": self.dim_target,

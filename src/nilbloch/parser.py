@@ -331,33 +331,29 @@ def parse_form(text, algebra):
     degree = None
     terms = {}
     for sign, (factors, wedge_tail) in _parse(text, _Parser.form_sum):
-        coeff = sign
-        elem = algebra.one()
+        coeff = ("prod", [("num", sign)])      # one product node: to_elem folds a monomial
         idxs = []
         # differentials may arrive '*'-joined before the '∧' tail
-        nodes = factors + wedge_tail
-        for node in nodes:
-            base = node
-            if base[0] == "var":
-                idx = _differential_index(algebra, base[1])
-                if idx is not None:
-                    idxs.append(idx)
-                    continue
-            if idxs:
+        for node in factors + wedge_tail:
+            idx = _differential_index(algebra, node[1]) if node[0] == "var" else None
+            if idx is not None:
+                idxs.append(idx)
+            elif idxs:      # the coefficient so far first, so its own error comes first
+                to_elem(coeff, algebra)
                 raise ValueError("coefficient after differential")
-            elem = elem * to_elem(node, algebra)
+            else:
+                coeff[1].append(node)
+        part = to_elem(coeff, algebra)
         if len(set(idxs)) != len(idxs):
             raise ValueError("repeated differential")
         inversions = sum(1 for i in range(len(idxs))
                          for j in range(i + 1, len(idxs)) if idxs[i] > idxs[j])
-        coeff *= (-1) ** inversions
         word = tuple(sorted(idxs))
         if degree is None:
             degree = len(word)
         elif degree != len(word):
             raise ValueError("mixed form degrees")
-        part = coeff * elem
-        vec_iadd(terms, {(mono, word): c for mono, c in part.terms.items()})
+        vec_iadd(terms, {(mono, word): c for mono, c in part.terms.items()}, (-1) ** inversions)
     return Form(algebra, degree or 0, terms)
 
 

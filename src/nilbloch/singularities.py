@@ -14,9 +14,7 @@ beside mu and tau and leaves the verdict to its caller: `nilbloch singular`
 passes iff h_dim == mu - tau, and exits 1 (a verification failure) otherwise.
 """
 
-from dataclasses import dataclass
-
-from .algebra import Algebra, monomials_of_degree, poly_terms
+from .algebra import Algebra, Record, monomials_of_degree, poly_terms
 from . import derham as dr
 
 
@@ -75,15 +73,8 @@ def _poly_str(terms, m):
     return str(elem)
 
 
-@dataclass
-class SingularityReport:
-    f: str
-    m: int
-    mu: int
-    tau: int
-    h_dim: int
-    N_used: int
-    stabilization_degree: int
+class SingularityReport(Record):
+    _fields = ("f", "m", "mu", "tau", "h_dim", "N_used", "stabilization_degree")
 
     def to_json(self):
         return {"f": self.f, "m": self.m, "mu": self.mu, "tau": self.tau,

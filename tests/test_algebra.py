@@ -366,6 +366,16 @@ def test_failed_construction_is_not_kept(kwargs, message):
             Algebra(2, 5, **kwargs)
 
 
+@pytest.mark.parametrize("key", [1, None, 2.5], ids=["int", "none", "float"])
+def test_exponent_that_is_no_tuple_is_refused(key):
+    """poly_terms once raised TypeError "'int' object is not iterable" here."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"exponent {key!r} is not a tuple of integers"):
+            Algebra(1, 3, ideal=[{key: 1}])
+    with pytest.raises(ValueError, match="is not a tuple of integers"):
+        poly_terms({(1,): 2, key: 1})
+
+
 @pytest.mark.parametrize("args, message", [
     ((0, 3), "need at least one nilpotent variable"),
     ((2, 0), "nilpotency bound must be at least 1"),

@@ -1,4 +1,5 @@
-"""The verdict of scripts/bench_pairs.py on synthetic per-pair values."""
+"""The verdict of scripts/bench_pairs.py on synthetic per-pair values, and its
+refusal to compare a byte-compiled side with one that is not."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +43,27 @@ def test_worse_past_the_bound_only():
 def test_identical_runs_are_the_same():
     assert verdict(PARENT, list(PARENT), "lower", 0.15) == "same"
     assert verdict([1.0] * 4, [1.0] * 4, "lower", 0.1) == "same"
+
+
+def _checkout(root, pyc):
+    cache = root / "src" / "nilbloch" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / ("algebra.cpython-311.pyc" if pyc else "notes.txt")).write_bytes(b"")
+    return root
+
+
+def test_bytecode_state_is_read_per_side(tmp_path):
+    assert not bench_pairs.has_bytecode(tmp_path)           # no __pycache__ at all
+    assert not bench_pairs.has_bytecode(_checkout(tmp_path / "a", pyc=False))
+    assert bench_pairs.has_bytecode(_checkout(tmp_path / "b", pyc=True))
+
+
+def test_sides_in_different_bytecode_states_exit_two_before_any_run(tmp_path, capsys):
+    parent, change = _checkout(tmp_path / "p", pyc=True), _checkout(tmp_path / "c", pyc=False)
+    out = tmp_path / "bench.json"
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert bench_pairs.main([str(parent), str(change), "--out", str(out)]) == 2
+    assert "only the parent checkout has .pyc files" in capsys.readouterr().err
+    assert bench_pairs.main([str(change), str(parent), "--out", str(out)]) == 2
+    assert "only the change checkout has .pyc files" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before    # nothing written

@@ -480,3 +480,11 @@ def test_unit_parts_shortcut_matches_product(data, kind):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Algebra, "_unit_parts", _unit_parts_by_product)
         assert results() == fast
+
+
+@pytest.mark.parametrize("arity", [0, -1])
+def test_symbol_sum_refuses_arity_below_one(arity):
+    """An arity-0 sum once printed the degree -1 class "[0] (zero)" under bloch while
+    dlog_symbol failed to unpack it."""
+    with pytest.raises(ValueError, match=f"arity at least 1, not {arity}"):
+        SymbolSum(Algebra(2, 3), arity, [(1, ())] if arity == 0 else [])

@@ -143,6 +143,58 @@ def test_parse_form_rejects():
         parse_form("dt + t*da∧db", PAR)
 
 
+def test_parse_form_coefficient_error_comes_before_misplaced_differential():
+    with pytest.raises(ValueError, match="negative exponent on non-invertible"):
+        parse_form("t^-1*dt*t", R3)
+    with pytest.raises(ValueError, match="unknown variable 'x'"):
+        parse_form("x*dt*t", R3)
+    with pytest.raises(ValueError, match="unknown variable 'x'"):
+        parse_form("t*x*dt∧dt", R3)       # before the repeated differential, too
+
+
+def _factorwise_form(text, A):
+    """The Form of text with each coefficient multiplied out one factor at a time."""
+    from nilbloch.forms import Form
+    from nilbloch.linalg import vec_iadd
+    from nilbloch.parser import _differential_index, _parse, _Parser, to_elem
+    terms, degree = {}, 0
+    for sign, (factors, tail) in _parse(text, _Parser.form_sum):
+        elem, idxs = A.one(), []
+        for node in factors + tail:
+            idx = _differential_index(A, node[1]) if node[0] == "var" else None
+            if idx is not None:
+                idxs.append(idx)
+            else:
+                elem = elem * to_elem(node, A)
+        inversions = sum(i > j for k, i in enumerate(idxs) for j in idxs[k + 1:])
+        degree = len(idxs)
+        part = sign * (-1) ** inversions * elem
+        vec_iadd(terms, {(mono, tuple(sorted(idxs))): c for mono, c in part.terms.items()})
+    return Form(A, degree, terms)
+
+
+@pytest.mark.parametrize("A, pool", [
+    (Algebra(2, 4), ["t1", "t2", "t1^2", "t2^3", "2", "3/2", "(1+t1)", "(t1-t2/3)^2"]),
+    (Algebra(2, 4, ideal=[{(2, 0): 1, (0, 2): -1}]),
+     ["t1", "t2", "t1^2", "t2^2", "5/7", "(1-t2)", "(2+t1*t2)^-1"]),
+    (Algebra(2, 4, params=[("a", True), ("b", False)]),
+     ["t1", "t2^2", "a", "a^-1", "a^-2", "b", "b^2", "4/3", "(a+b)", "(a-t1)^-1", "a^0"]),
+], ids=["monomial", "non_monomial", "parametric"])
+def test_parse_form_folds_like_factorwise_product(A, pool):
+    import random
+    rng = random.Random(25)
+    diffs = [f"d{n}" for n in A.nil_names + tuple(p.name for p in A.params)]
+    for _ in range(40):
+        degree = rng.randint(0, 2)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            word = rng.sample(diffs, degree)
+            head = "*".join(rng.choices(pool, k=rng.randint(0, 3)) + word[:1]) or "1"
+            terms.append((rng.choice(["+ ", "- "]), "∧".join([head] + word[1:])))
+        text = " ".join(s + t for s, t in terms)
+        assert parse_form(text, A) == _factorwise_form(text, A), text
+
+
 @pytest.mark.parametrize("text", ["t1*dt2 garbage", "t1*dt2 )"])
 def test_parse_form_refuses_trailing_input(text):
     with pytest.raises(ValueError, match="syntax error at 1:8"):
