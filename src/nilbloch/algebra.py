@@ -119,6 +119,11 @@ class Record:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def to_json(self):
+        """Each field by name; a value with a to_json of its own goes through it."""
+        values = {f: getattr(self, f) for f in self._fields}
+        return {f: v.to_json() if hasattr(v, "to_json") else v for f, v in values.items()}
+
     def _frozen(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 

@@ -484,9 +484,6 @@ class SequenceReport(Record):
                "correction_dim", "alpha_injective", "additivity_ok", "exact_at_h",
                "exact_at_inner", "exact_at_outer", "surjective", "passed")
 
-    def to_json(self):
-        return {k: v for k, v in self.__dict__.items()}
-
 
 def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
     """Check the six-term class-level sequence and the degreewise one.
@@ -598,9 +595,6 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
 
 class SigmaReport(Record):
     _fields = ("N", "rows", "passed")
-
-    def to_json(self):
-        return {"N": self.N, "rows": self.rows, "passed": self.passed}
 
 
 def sigma_report(N, degrees=(0, 1, 2)):

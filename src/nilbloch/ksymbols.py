@@ -96,7 +96,9 @@ class SymbolSum:
 
 def symbol(*entries):
     """The single symbol {e_1,...,e_k}; entries are algebra elements."""
-    first = next(e for e in entries if isinstance(e, AlgElem))
+    first = next((e for e in entries if isinstance(e, AlgElem)), None)
+    if first is None:
+        raise ValueError("a symbol needs an algebra element among its entries")
     return SymbolSum(first.algebra, len(entries), [(1, tuple(entries))])
 
 
@@ -204,12 +206,6 @@ def swap_symbol(s):
 class KeyIdentityReport(Record):
     _fields = ("i", "j", "passed", "cutoff", "bloch_rep", "target_rep", "certificate")
 
-    def to_json(self):
-        return {"i": self.i, "j": self.j, "passed": self.passed,
-                "cutoff": self.cutoff, "bloch_rep": self.bloch_rep,
-                "target_rep": self.target_rep,
-                "certificate": self.certificate.to_json()}
-
 
 def _ab_symbol(N, i, j):
     """Q[a,b][t]/t^N and the symbol {1+a t^i, 1+b t^j} in it."""
@@ -243,10 +239,6 @@ def verify_key_identity(i, j):
 class FiltrationReport(Record):
     _fields = ("p", "i", "j", "vanishes", "rep")
 
-    def to_json(self):
-        return {"p": self.p, "i": self.i, "j": self.j,
-                "vanishes": self.vanishes, "rep": self.rep}
-
 
 def verify_filtration_vanishing(p, i, j):
     """bloch{1+a t^i, 1+b t^j} = 0 in Q[a,b][t]/t^p whenever i+j >= p."""
@@ -275,9 +267,6 @@ def filtration_strictness_witness(p):
 
 class SkewReport(Record):
     _fields = ("passed", "rep")
-
-    def to_json(self):
-        return {"passed": self.passed, "rep": self.rep}
 
 
 def verify_skew(s):

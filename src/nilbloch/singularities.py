@@ -77,10 +77,7 @@ class SingularityReport(Record):
     _fields = ("f", "m", "mu", "tau", "h_dim", "N_used", "stabilization_degree")
 
     def to_json(self):
-        return {"f": self.f, "m": self.m, "mu": self.mu, "tau": self.tau,
-                "h_dim": self.h_dim, "N_used": self.N_used,
-                "stabilization_degree": self.stabilization_degree,
-                "gap": self.mu - self.tau}
+        return dict(super().to_json(), gap=self.mu - self.tau)
 
 
 def hypersurface_h_dim(f, N):

@@ -488,3 +488,10 @@ def test_symbol_sum_refuses_arity_below_one(arity):
     dlog_symbol failed to unpack it."""
     with pytest.raises(ValueError, match=f"arity at least 1, not {arity}"):
         SymbolSum(Algebra(2, 3), arity, [(1, ())] if arity == 0 else [])
+
+
+@pytest.mark.parametrize("entries", [(2, 3), ()], ids=repr)
+def test_symbol_needs_an_algebra_element(entries):
+    """symbol() once took its algebra with a bare next(), so it raised StopIteration."""
+    with pytest.raises(ValueError, match="needs an algebra element among its entries"):
+        symbol(*entries)

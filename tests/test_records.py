@@ -157,3 +157,15 @@ def test_criterion_results_never_share_details():
     assert b.details == {} and a.details is not b.details
     assert CriterionResult("c", True, {"n": 2}, 1.5).to_json() == {
         "name": "c", "passed": True, "details": {"n": 2}, "seconds": 1.5}
+
+
+def test_to_json_gives_each_field_by_name_through_its_own_to_json():
+    cert = ExactnessCertificate(False, 1, 3, witness={((0, 1), (2,)): 1}, witness_block=(2, ()))
+    rep = KeyIdentityReport(1, 2, False, 3, "b", "t", cert)
+    assert rep.to_json() == {"i": 1, "j": 2, "passed": False, "cutoff": 3, "bloch_rep": "b",
+                             "target_rep": "t", "certificate": {
+                                 "exact": False, "degree": 1, "cutoff": 3,
+                                 "witness": {"(0, 1)|(2,)": "1"}}}
+    assert SigmaReport(3, [{"degree": 0}], True).to_json() == {
+        "N": 3, "rows": [{"degree": 0}], "passed": True}
+    assert SingularityReport("f", 2, 4, 3, 1, 6, 5).to_json()["gap"] == 1
