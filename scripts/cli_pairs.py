@@ -15,6 +15,7 @@ import json
 import os
 import platform
 import shlex
+import statistics
 import subprocess
 import sys
 import time
@@ -22,6 +23,9 @@ import time
 from bench_pairs import commit_of, has_bytecode, spread, verdict
 
 PAIRS = 5
+# medians closer than this many seconds read `same`: a command of a few ms swings
+# by more than the wall_s bound between two runs of one checkout
+MIN_SHIFT_S = 0.010
 
 
 def readme_commands(path):
@@ -104,9 +108,10 @@ def summarize(runs, bound):
                     for side in ("parent", "change")]
             if None not in vals[0] + vals[1]:
                 wins = sum(p > c for p, c in zip(*vals))
+                small = abs(statistics.median(vals[0]) - statistics.median(vals[1])) < MIN_SHIFT_S
                 out[name] = {"parent": spread(vals[0]), "change": spread(vals[1]),
                              "pairs_won": f"{wins}/{len(vals[0])}",
-                             "verdict": verdict(*vals, "lower", bound)}
+                             "verdict": "same" if small else verdict(*vals, "lower", bound)}
     return summary
 
 

@@ -209,9 +209,13 @@ def _relation_diffs(algebra, grade):
                       for e in A._basis_by_grade.get(grade - A.weight[v], ())}
             polys = [{e: 1} for e in sorted(border) if A._mono_dead(e)]
         else:
-            top = ({e: 1} for e in monomials_of_degree(A.m, A.N))
-            polys = [f for f in chain(A._ring_rows.rows.values(), top)
-                     if A.grade(next(iter(f))) == grade]
+            by_grade = A.__dict__.get("_relation_polys")
+            if by_grade is None:    # bucketed once, in row order, then monomial order
+                by_grade = A.__dict__["_relation_polys"] = {}
+                top = ({e: 1} for e in monomials_of_degree(A.m, A.N))
+                for f in chain(A._ring_rows.rows.values(), top):
+                    by_grade.setdefault(A.grade(next(iter(f))), []).append(f)
+            polys = by_grade.get(grade, ())
         diffs = ([(v, A.normal_form({((), a[:v] + (a[v] - 1,) + a[v + 1:]): c * a[v]
                                      for a, c in f.items() if a[v]})) for v in range(A.m)]
                  for f in polys)

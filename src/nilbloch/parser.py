@@ -22,8 +22,9 @@ token, computed from the offset in the text that every token carries.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .algebra import Algebra, AlgElem, _q
+from .algebra import MAX_RINGS, Algebra, AlgElem, _q
 from .linalg import vec_iadd
 from .forms import Form
 from .ksymbols import SymbolSum
@@ -420,7 +421,18 @@ def polynomial_terms(text, m=None, bound=None):
     bound kills anyway, and keeping them would let a power like (1+t)^200000
     expand in full. Without a bound, degree_bound + 1 drops nothing. A divisor
     must evaluate in that algebra to a nonzero constant.
+
+    A process evaluates each (text, m, bound) once: the MAX_RINGS = 32 most
+    recently used results are kept, and every call returns a fresh copy.
     """
+    if isinstance(text, str) and {type(m), type(bound)} <= {int, type(None)}:
+        return dict(_polynomial_terms(text, m, bound))
+    return _polynomial_terms.__wrapped__(text, m, bound)
+
+
+@lru_cache(maxsize=MAX_RINGS)
+def _polynomial_terms(text, m, bound):
+    """The evaluation of polynomial_terms; a cached result is shared, never handed out."""
     ast = parse_expr(text)
     checks = []
     degree = _walk(ast, checks)

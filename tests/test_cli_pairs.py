@@ -172,6 +172,21 @@ def test_spread_pairs_won_and_verdict_per_command(run):
     assert len(out.splitlines()) == 3
 
 
+def test_shift_below_ten_ms_reads_same(run):
+    def fast(side, pair, sub):
+        code, stdout, stderr, _ = same(side, pair, sub)
+        seconds = 0.0028 if side == "parent" else 0.0036
+        return code, json.dumps(dict(json.loads(stdout), timing_seconds=seconds)), stderr, seconds
+    code, out, report, _ = run(fast)
+    assert code == 0
+    # 29% slower is past the 0.15 bound of wall_s, but 0.8 ms is below MIN_SHIFT_S
+    assert cli_pairs.verdict([0.0028] * 5, [0.0036] * 5, "lower", 0.15) == "worse"
+    for name in ("timing_seconds", "wall_s"):
+        m = report["summary"][COHOM][name]
+        assert (m["pairs_won"], m["verdict"]) == ("0/5", "same")
+    assert f"same, change won 0/5 pairs, timing_seconds median 0.0028 -> 0.0036: {COHOM}" in out
+
+
 def test_bytecode_mismatch_exits_two_before_any_run(tmp_path, monkeypatch, capsys):
     def no_run(root, args):
         raise AssertionError("no command may run")

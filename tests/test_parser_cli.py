@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilbloch import cli
-from nilbloch.algebra import Algebra
+from nilbloch import cli, parser
+from nilbloch.algebra import MAX_RINGS, Algebra
 from nilbloch.forms import d, form_of_element, form_str
 from nilbloch.ksymbols import bloch, dlog_symbol
 from nilbloch.parser import (MAX_DEPTH, MAX_POWER_BITS, algebra_from_json, algebra_to_json,
@@ -54,6 +55,70 @@ def test_polynomial_terms_rejects():
             polynomial_terms(text)
     with pytest.raises(ValueError, match="duplicate variable name 't1'"):
         Algebra(1, 3, params=[("t1", False)])
+
+
+def _memo_delta(call):
+    """(hits, misses) that call() adds to the polynomial_terms memo."""
+    before = parser._polynomial_terms.cache_info()
+    call()
+    after = parser._polynomial_terms.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+def test_polynomial_terms_memo_hands_out_fresh_dicts():
+    first = polynomial_terms("t1^3 - 2*t1*t2", 2, 5)
+    first[(0, 0)] = 7
+    assert _memo_delta(lambda: polynomial_terms("t1^3 - 2*t1*t2", m=2, bound=5)) == (1, 0)
+    again = polynomial_terms("t1^3 - 2*t1*t2", 2, 5)
+    assert again == {(3, 0): 1, (1, 1): -2}
+    assert again is not polynomial_terms("t1^3 - 2*t1*t2", 2, 5)
+
+
+def test_polynomial_terms_memo_keeps_no_errors():
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            polynomial_terms("t3^2", m=2)
+        messages.append(str(err.value))
+    assert messages == ["unknown variable 't3'"] * 2
+    assert _memo_delta(lambda: pytest.raises(ValueError, polynomial_terms, "t3^2", 2)) == (0, 1)
+
+
+def test_algebra_from_json_repeat_evaluates_nothing():
+    spec = {"nilpotents": 2, "bound": 6, "ideal": ["t1^3+t2^4", "t1*t2^2"]}
+    ring = algebra_from_json(spec)
+    again = []
+    assert _memo_delta(lambda: again.append(algebra_from_json(dict(spec)))) == (2, 0)
+    assert again[0] is ring
+
+
+def test_polynomial_terms_memo_is_bounded():
+    for k in range(MAX_RINGS + 5):
+        polynomial_terms(f"t^2 + {k + 2}*t", 1, 9)
+    info = parser._polynomial_terms.cache_info()
+    assert info.maxsize == MAX_RINGS and info.currsize <= MAX_RINGS
+
+
+def test_polynomial_terms_memo_hit_records_one_parse_span(monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.layers = {"parser.parse": tracer.layers["parser.parse"]}
+    # install() patches for good: record each binding it replaces, for undoing
+    originals = [getattr(owner, attr) for owner, attr in tracer.layers["parser.parse"]]
+    for name, mod in list(sys.modules.items()):
+        if name == "nilbloch" or name.startswith("nilbloch."):
+            for key, value in list(vars(mod).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(mod, key, value)
+    from nilbloch.linalg import RowSpace
+    monkeypatch.setattr(RowSpace, "__init__", RowSpace.__init__)
+    tracer.install()
+    parser.polynomial_terms("t1^5+t2^2*t1", 2, 7)
+    assert _memo_delta(lambda: parser.polynomial_terms("t1^5+t2^2*t1", 2, 7)) == (1, 0)
+    assert list(tracer.kind) == [0, 0]      # one parser.parse span per call, the hit too
 
 
 def test_parse_element_basics():
