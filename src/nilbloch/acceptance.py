@@ -31,6 +31,12 @@ CURVE_N_USED = 7
 CURVE_NESTED = {"A": 11, "B": 15, "C": 5, "correction": 1}
 SPAN_DIMS = {(3, 1): {0: 2, 1: 0}, (3, 2): {0: 5, 1: 3}, (4, 1): {0: 3, 1: 0}}
 
+# the most blocks a homotopy scan may visit, counted before it builds one as
+# (max_degree + 1) (N + m) times the multidegrees of each algebra: a bound on its rows too
+MAX_HOMOTOPY_BLOCKS = 10_000
+# the most instances a Steinberg scan checks, at about 0.4 ms each
+MAX_STEINBERG_COUNT = 2_000
+
 
 class CriterionResult(Record):
     _fields = ("name", "passed", "details", "seconds")
@@ -67,6 +73,10 @@ def homotopy_scan(N, max_degree, parametric=False):
     algebras = [Algebra(1, N)]
     if parametric:
         algebras.append(Algebra(1, min(N, 4), params=[("a", False)]))
+    blocks = sum((max_degree + 1) * (A.N + A.m) * len(dr._pihat_box(A, 2)) for A in algebras)
+    if blocks > MAX_HOMOTOPY_BLOCKS:
+        raise ValueError(f"the scan has up to {blocks} blocks, above the limit "
+                         f"{MAX_HOMOTOPY_BLOCKS}")
     for A in algebras:
         pres = dr.relative(A, dr.FULL)
         for n in range(0, max_degree + 1):
@@ -174,6 +184,9 @@ def filtration_window():
 
 def steinberg_scan(seed, count):
     """bloch(zeta(a,x)) = 0 on count seeded instances, N <= 5, m <= 2."""
+    if count > MAX_STEINBERG_COUNT:
+        raise ValueError(f"the scan has {count} instances, above the limit "
+                         f"{MAX_STEINBERG_COUNT}")
     rng = random.Random(seed)
     algebras = sp.small_algebras()
     rows = []

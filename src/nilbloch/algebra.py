@@ -328,7 +328,7 @@ class Algebra(metaclass=_OneRingPerKey):
     There is one instance per ring: equal (m, N, nonzero generators after
     poly_terms in the given order, params as (name, invertible)) return the
     same object with its caches, so a repeated ring reuses its blocks, class
-    rows, twin and R/I. The MAX_RINGS = 32 most recently used rings are kept.
+    rows and R/I. The MAX_RINGS = 32 most recently used rings are kept.
     Elements and forms compare algebras by identity, so elements built from
     two Algebra(2, 5) calls are equal.
     """

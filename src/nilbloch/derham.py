@@ -33,13 +33,13 @@ gives the h that `singular` checks against mu - tau.
 EXPLICIT dims come by restriction: Omega^n_A -> Omega^n_{R/I} is onto and
 keeps the key, so dim Omega^n_rel is the FULL dim of A minus that of R/I.
 
-Graded dimensions are counted too. A parameter-free block dimension is
-the sum of forms.graded_dims over the block's fine multidegrees (see
-forms), with no elimination of the block. A parametric one comes from the
-parameter-free twin, since parameters are passive: at a multidegree pihat
-where f parameters may carry a da_j, dim Omega^n_rel is
-sum_s C(f, s) dim_twin(n - s), and 0 when pihat has a negative exponent on
-a non-invertible parameter. So a FULL/POWER table builds no FormBlock at
+Graded dimensions are counted too. The parameter-free relative dimension
+dim0(n) is the sum of forms.graded_dims over the internal degrees of
+degree n (see forms), with no elimination of any block. Parameters are
+passive: at a multidegree pihat where f parameters may carry a da_j
+(forms.free_params, the rule the blocks follow), dim Omega^n_rel is
+sum_s C(f, s) dim0(n - s), and 0 when pihat has a negative exponent on a
+non-invertible parameter. So a FULL/POWER table builds no FormBlock at
 all; FormBlock serves bases, canonical coordinates and class solves.
 """
 
@@ -171,13 +171,8 @@ class _Relative:
 
     def _free(self, pihat):
         """The count f of j with da_j allowed at pihat; None if pihat holds no form."""
-        f = 0
-        for e, p in zip(pihat, self.A.params):
-            if p.invertible or e >= 1:
-                f += 1
-            elif e < 0:
-                return None
-        return f
+        free = fm.free_params(self.A, pihat)
+        return None if free is None else len(free)
 
     def class_rows(self, n, key):
         """d-images of the relative (n-1)-basis of this block, tagged by basis index."""
@@ -192,7 +187,7 @@ class _Relative:
         """All class rows into degree n merged into one space."""
         rows = RowSpace(order=coord_sort_key(self.A))
         for key in self.block_keys(n):     # blocks share no coordinate
-            rows.adopt(self.class_rows(n, key), lambda k: k)
+            rows.adopt(self.class_rows(n, key))
         return rows
 
     def truncate(self, form, cutoff):
@@ -241,19 +236,18 @@ class BlockedRelative(_Relative):
         return [(i, p) for p in self._pihats(pihats) for i in range(self.k, top)]
 
     def _dim(self, n, f):
-        """Monomial ideal: counted by forms.graded_dims (of the twin when parametric);
-        else the sum of the blocks' relative bases."""
+        """sum_s C(f, s) dim(n - s, 0): dim(n, 0) is counted by forms.graded_dims over a
+        monomial ideal, else the sum of the blocks' relative bases (f = 0 there)."""
         if f is None:
             return 0
         if (n, f) not in self._dims:
-            if not self.counted:
-                dim = sum(len(self._basis(n, key)) for key in self.block_keys(n))
-            elif self.A.n_params:
-                twin = relative(fm.param_free_twin(self.A), self.rel)
-                dim = sum(comb(f, s) * twin._dim(n - s, 0) for s in range(f + 1))
+            if f:
+                dim = sum(comb(f, s) * self._dim(n - s, 0) for s in range(f + 1))
+            elif self.counted:
+                dim = sum(d for (deg, i), d in fm.graded_dims(self.A).items()
+                          if deg == n and i >= self.k)
             else:
-                dims = fm.graded_dims(self.A)
-                dim = sum(dims.get((n, i), 0) for i, _ in self.block_keys(n))
+                dim = sum(len(self._basis(n, key)) for key in self.block_keys(n))
             self._dims[(n, f)] = dim
         return self._dims[(n, f)]
 

@@ -18,10 +18,11 @@ key is (internal degree, pihat). The gap curve t1^4+t1^2 t2^3+t2^5 has
 w = 0, one block per degree.
 
 Parameters are passive. With S = Q[a, b^±1, ...], Omega of S[t]/J is
-Omega_S tensor Omega of its parameter-free twin Q[t]/J, so a relation row
-d(f) ^ dT ^ da_D keeps its parameter exponent and its word D. Only twin
-blocks are eliminated; a parametric block (n, (i, pihat)) is the twin
-blocks (n - |D|, (i, ())) relabelled, one for each allowed D.
+Omega_S tensor Omega of Q[t]/J, so every relation row is d(f) ^ dt_T ^ da_D
+with f parameter-free. Block (n, (i, pihat)) is the sum, over the words D
+whose da_j may occur at pihat (free_params), of the coordinates
+((pihat - e_D, texp), T + D) with |T| = n - |D|, and FormBlock builds it
+from those rows like any other block.
 
 Graded block dimensions are counted, not eliminated (graded_dims). In
 Q[t]/J with J monomial, the coordinate t^beta dt_I has fine multidegree
@@ -59,7 +60,7 @@ from math import comb
 from operator import mul
 
 from .linalg import RowSpace, independent, vec_add, vec_iadd, vec_scale
-from .algebra import AlgElem, Algebra, _divides, _q, monomials_of_degree, signed_sum
+from .algebra import MAX_RINGS, AlgElem, _divides, _q, monomials_of_degree, signed_sum
 
 # the most coordinates of one degree over a non-monomial ideal or in an EXPLICIT kernel
 MAX_WHOLE_COORDS = 450_000
@@ -115,50 +116,20 @@ def coord_sort_key(algebra):
 
 
 class FormBlock:
-    """Presentation of one block of the degree-n form module (parametric: from_twin)."""
+    """Presentation of one block of the degree-n form module."""
 
     def __init__(self, algebra, n, key):
         self.algebra = algebra
         self.n = n
         self.key = key
         self.order = coord_sort_key(algebra)
+        self.words = param_words(algebra, key[1], n)
         self.coords = self._coords()
         self.rows = RowSpace(order=self.order)
         for row in self._relation_rows() if self.coords else ():
             self.rows.insert(row)
         self.basis = [c for c in sorted(self.coords, key=self.order)
                       if c not in self.rows.rows]
-
-    @classmethod
-    def from_twin(cls, algebra, n, key):
-        """Block (n, (i, pihat)) of a parametric algebra, relabelled from its twin.
-
-        The sum over the allowed words D of twin blocks (n - |D|, (i, ())),
-        ((), texp), T renamed to ((pihat - e_D, texp), T + D). Renaming keeps
-        the order in a summand and summands share no coordinate, so the
-        twin's echelon rows stay one: nothing is eliminated again.
-        """
-        A = algebra
-        twin = param_free_twin(A)
-        i, pihat = key
-        self = cls.__new__(cls)
-        self.algebra, self.n, self.key = A, n, key
-        self.order = coord_sort_key(A)
-        self.coords, self.basis = [], []
-        self.rows = RowSpace(order=self.order)
-        for s in range(min(n, A.n_params) + 1):
-            for D in combinations(range(A.n_params), s):
-                pexp = _pexp_for(A, pihat, D)
-                if pexp is None:
-                    continue
-                src = form_block(twin, n - s, (i, ()))
-                dword = tuple(A.m + j for j in D)
-                label = {c: ((pexp, c[0][1]), c[1] + dword) for c in src.coords}
-                self.coords.extend(label.values())
-                self.basis.extend(label[c] for c in src.basis)
-                self.rows.adopt(src.rows, label.__getitem__)
-        self.basis.sort(key=self.order)
-        return self
 
     @property
     def dim(self):
@@ -167,43 +138,41 @@ class FormBlock:
     def reduce(self, vec):
         return self.rows.reduce(vec)
 
-    # -- parameter-free presentation -------------------------------------------
-
     def _coords(self):
         A = self.algebra
-        if self.n < 0:
-            return []
-        if not A.monomial_ideal:
+        if self.n >= 0 and not A.monomial_ideal:
             whole_budget(A, self.n)
         # the word dT has weight w . 1_T, so texp has grade key - w . 1_T
-        return [(((), texp), T) for T in combinations(range(A.m), self.n)
+        return [((pexp, texp), T + dword) for pexp, dword in self.words
+                for T in combinations(range(A.m), self.n - len(dword))
                 for texp in A._basis_by_grade.get(self.key[0] - A.grade((), T), ())]
 
     def _relation_rows(self):
-        """d(f) ^ dt_T for each (n-1)-subset T and each f of grade key - w . 1_T."""
-        if self.n <= 0:
-            return
+        """d(a^pexp f) ^ dt_T ^ da_D for each word D, each (n-|D|-1)-subset T and each f
+        of grade key - w . 1_T, pexp = pihat - e_D."""
         A = self.algebra
-        for T in combinations(range(A.m), self.n - 1):
-            for df in _relation_diffs(A, self.key[0] - A.grade((), T)):
-                row = {}
-                for v, partial in df:
-                    sign, word = wedge_insert(v, T)
-                    if sign:    # distinct v give distinct words, so no coord repeats
-                        row.update(((mono, word), c * sign) for mono, c in partial.items())
-                if row:
-                    yield row
+        for pexp, dword in self.words:
+            r = self.n - 1 - len(dword)
+            for T in combinations(range(A.m), r) if r >= 0 else ():
+                for df in _relation_diffs(A, self.key[0] - A.grade((), T), pexp):
+                    row = {}
+                    for v, partial in df:
+                        sign, word = wedge_insert(v, T + dword)
+                        if sign:    # distinct v give distinct words, so no coord repeats
+                            row.update(((mono, word), c * sign) for mono, c in partial.items())
+                    if row:
+                        yield row
 
 
-def _relation_diffs(algebra, grade):
-    """d(f) for the f of this grade in a w-homogeneous basis of J + m^N, as nonzero
-    partials [(v, {mono: c})] in normal form; cached. Monomial ideal: the border
-    monomials (dead, with an alive t^(e - e_v)); else the reduced ideal rows, which
-    are homogeneous as a graded span's reduced echelon basis is unique, then the
-    degree-N monomials."""
+def _relation_diffs(algebra, grade, pexp):
+    """The nilpotent part of d(a^pexp f) for the f of this grade in a w-homogeneous
+    basis of J + m^N, as nonzero partials [(v, {mono: c})] in normal form; cached.
+    Monomial ideal: the border monomials (dead, with an alive t^(e - e_v)); else the
+    reduced ideal rows, which are homogeneous as a graded span's reduced echelon
+    basis is unique, then the degree-N monomials."""
     A = algebra
     cache = A.__dict__.setdefault("_relation_diffs", {})
-    if grade not in cache:
+    if (grade, pexp) not in cache:
         if A.monomial_ideal:
             border = {e[:v] + (e[v] + 1,) + e[v + 1:] for v in range(A.m)
                       for e in A._basis_by_grade.get(grade - A.weight[v], ())}
@@ -216,11 +185,11 @@ def _relation_diffs(algebra, grade):
                 for f in chain(A._ring_rows.rows.values(), top):
                     by_grade.setdefault(A.grade(next(iter(f))), []).append(f)
             polys = by_grade.get(grade, ())
-        diffs = ([(v, A.normal_form({((), a[:v] + (a[v] - 1,) + a[v + 1:]): c * a[v]
+        diffs = ([(v, A.normal_form({(pexp, a[:v] + (a[v] - 1,) + a[v + 1:]): c * a[v]
                                      for a, c in f.items() if a[v]})) for v in range(A.m)]
                  for f in polys)
-        cache[grade] = [[(v, partial) for v, partial in df if partial] for df in diffs]
-    return cache[grade]
+        cache[(grade, pexp)] = [[(v, partial) for v, partial in df if partial] for df in diffs]
+    return cache[(grade, pexp)]
 
 
 def whole_budget(algebra, n):
@@ -234,65 +203,73 @@ def whole_budget(algebra, n):
                          f"coordinates, above the limit {MAX_WHOLE_COORDS}")
 
 
-def _pexp_for(algebra, pihat, dparams):
-    """pihat minus the da_j of dparams, or None at a negative non-invertible exponent."""
-    pexp = list(pihat)
-    for j in dparams:
-        pexp[j] -= 1
-    for j, e in enumerate(pexp):
-        if e < 0 and not algebra.params[j].invertible:
+def free_params(algebra, pihat):
+    """The j whose da_j may occur at parameter multidegree pihat (a_j invertible or
+    pihat_j >= 1), or None when pihat holds no form (a negative exponent on a
+    non-invertible parameter)."""
+    free = []
+    for j, (e, p) in enumerate(zip(pihat, algebra.params)):
+        if p.invertible or e >= 1:
+            free.append(j)
+        elif e < 0:
             return None
-    return tuple(pexp)
+    return free
 
 
-def param_free_twin(algebra):
-    """Q[t]/J for a parametric S[t]/J: same m, N and monomial ideal; cached."""
-    twin = getattr(algebra, "_twin", None)
-    if twin is None:
-        twin = algebra._twin = Algebra(algebra.m, algebra.N,
-                                       ideal=[{e: 1} for e in algebra.mono_gens])
-    return twin
+def param_words(algebra, pihat, n):
+    """[(pihat - e_D, da_D)] for the parameter words D of at most n letters allowed at
+    pihat (free_params): [((), ())] without parameters, [] when n < 0."""
+    if not pihat:       # no parameters: most blocks, so free_params is skipped
+        return [((), ())] if n >= 0 else []
+    free = free_params(algebra, pihat)
+    return [(tuple(e - (j in D) for j, e in enumerate(pihat)), tuple(algebra.m + j for j in D))
+            for s in range(min(n, len(free)) + 1 if free is not None else 0)
+            for D in combinations(free, s)]
 
 
 def graded_dims(algebra):
-    """{(n, i): dim of block (n, (i, ()))} of Q[t]/J, counted per capped profile; cached."""
-    dims = getattr(algebra, "_graded_dims", None)
-    if dims is None:
-        if algebra.n_params or not algebra.monomial_ideal:
-            raise ValueError("graded dims need a parameter-free monomial ideal")
-        m, N, gens = algebra.m, algebra.N, algebra.mono_gens
-        # how many alpha have each (|alpha|, _fine_dims key); first without J
-        counts = Counter({(0, (0, -1, frozenset())): 1})
-        for s in range(1, m + 1):
-            for i in range(s, N + s):
-                counts[(i, (s, max(i - N, -1), frozenset()))] += comb(m, s) * comb(i - 1, s - 1)
-        # then each profile gamma = min(alpha, cap) a generator divides, counted once
-        cap = [1 + max(col) for col in zip(*gens)]
-        for g in gens:
-            for gamma in _profiles(g, cap, N - 1):
-                divs = [h for h in gens if _divides(h, gamma)]
-                if divs[0] != g:
-                    continue        # counted with an earlier generator
-                S = [v for v, a in enumerate(gamma) if a]
-                s, low, u = len(S), sum(gamma), sum(a == c for a, c in zip(gamma, cap))
-                covers = {sum(1 << b for b, v in enumerate(S) if gamma[v] > h[v]) for h in divs}
-                covers = frozenset(U for U in covers         # the maximal ones
-                                   if not any(U != W and U | W == W for W in covers))
-                for i in range(low, N + s if u else low + 1):
-                    # the alpha >= gamma of degree i that raise only the capped coordinates
-                    times = comb(i - low + u - 1, u - 1) if u else 1
-                    k = max(i - N, -1)
-                    counts[(i, (s, k, frozenset()))] -= times
-                    if (1 << s) - 1 not in covers:    # beta = alpha - 1_S alive
-                        # a cover of at most k elements holds subsets dead by degree only
-                        live = frozenset(U for U in covers if U.bit_count() > k)
-                        counts[(i, (s, k, live))] += times
-        dims = Counter()
-        for (i, key), times in counts.items():
-            for n, dim in enumerate(_fine_dims(*key) if times else ()):
-                dims[(n, i)] += times * dim
-        dims = algebra._graded_dims = {k: dim for k, dim in dims.items() if dim}
-    return dims
+    """{(n, i): dim of block (n, (i, ()))} of Q[t]/J, J the monomial ideal of algebra
+    without its parameters, counted per capped profile."""
+    if not algebra.monomial_ideal:
+        raise ValueError("graded dims need a monomial ideal")
+    return _graded_dims(algebra.m, algebra.N, algebra.mono_gens)
+
+
+@lru_cache(maxsize=MAX_RINGS)
+def _graded_dims(m, N, gens):
+    """graded_dims of Q[t_1..t_m]/(gens, m^N), in one bounded process-wide memo: the
+    key names no ring, so a parametric ring shares the count of its parameter-free one."""
+    # how many alpha have each (|alpha|, _fine_dims key); first without J
+    counts = Counter({(0, (0, -1, frozenset())): 1})
+    for s in range(1, m + 1):
+        for i in range(s, N + s):
+            counts[(i, (s, max(i - N, -1), frozenset()))] += comb(m, s) * comb(i - 1, s - 1)
+    # then each profile gamma = min(alpha, cap) a generator divides, counted once
+    cap = [1 + max(col) for col in zip(*gens)]
+    for g in gens:
+        for gamma in _profiles(g, cap, N - 1):
+            divs = [h for h in gens if _divides(h, gamma)]
+            if divs[0] != g:
+                continue        # counted with an earlier generator
+            S = [v for v, a in enumerate(gamma) if a]
+            s, low, u = len(S), sum(gamma), sum(a == c for a, c in zip(gamma, cap))
+            covers = {sum(1 << b for b, v in enumerate(S) if gamma[v] > h[v]) for h in divs}
+            covers = frozenset(U for U in covers         # the maximal ones
+                               if not any(U != W and U | W == W for W in covers))
+            for i in range(low, N + s if u else low + 1):
+                # the alpha >= gamma of degree i that raise only the capped coordinates
+                times = comb(i - low + u - 1, u - 1) if u else 1
+                k = max(i - N, -1)
+                counts[(i, (s, k, frozenset()))] -= times
+                if (1 << s) - 1 not in covers:    # beta = alpha - 1_S alive
+                    # a cover of at most k elements holds subsets dead by degree only
+                    live = frozenset(U for U in covers if U.bit_count() > k)
+                    counts[(i, (s, k, live))] += times
+    dims = Counter()
+    for (i, key), times in counts.items():
+        for n, dim in enumerate(_fine_dims(*key) if times else ()):
+            dims[(n, i)] += times * dim
+    return {k: dim for k, dim in dims.items() if dim}
 
 
 def _profiles(g, cap, budget):
@@ -331,8 +308,7 @@ def _fine_dims(s, k, covers):
 def form_block(algebra, n, key):
     cache = algebra._form_cache
     if (n, key) not in cache:
-        build = FormBlock.from_twin if algebra.n_params else FormBlock
-        cache[(n, key)] = build(algebra, n, key)
+        cache[(n, key)] = FormBlock(algebra, n, key)
     return cache[(n, key)]
 
 

@@ -141,16 +141,16 @@ class RowSpace:
         self.rows[piv] = row
         return piv
 
-    def adopt(self, other, label):
-        """Add the rows of another untracked space, keys renamed, without eliminating.
+    def adopt(self, other):
+        """Add copies of the rows of another untracked space, without eliminating.
 
-        label must be injective, keep other's key order and hit no key this
-        space holds: echelon bases on disjoint keys together form one.
+        other must hold no key this space holds: echelon bases on disjoint
+        keys together form one.
         """
         for piv, row in other.rows.items():
-            self.rows[label(piv)] = {label(k): c for k, c in row.items()}
+            self.rows[piv] = dict(row)
         for k, pivs in other.cols.items():
-            self.cols[label(k)] = {label(p) for p in pivs}
+            self.cols[k] = set(pivs)
 
     def solve(self, vec):
         """Tags combination with vec = sum(c[tag] * inserted[tag]), or None.

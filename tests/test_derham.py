@@ -329,10 +329,23 @@ def test_graded_cohomology_builds_no_class_rows(fresh_rings):
         assert relative(A, FULL)._class == {}
         assert "nil_basis" not in vars(A)   # no monomial listed
         if A.n_params:
-            assert A._form_cache == {}      # counted from the twin's blocks
-            assert "nil_basis" not in vars(A._twin)
+            assert A._form_cache == {}      # counted from graded_dims
     big = algebra_from_json({"nilpotents": 8, "bound": 8, "ideal": ["t1*t2^3"]})
     assert "nil_basis" not in vars(big)
+
+
+def test_parametric_table_and_class_build_no_other_ring(fresh_rings):
+    """Parametric blocks and counted dims need no ring besides the algebra's own."""
+    from nilbloch.algebra import _RINGS
+    from nilbloch.ksymbols import bloch, symbol
+    A = Algebra(2, 3, params=[("a", False), ("b", True)])
+    assert cohomology(A, FULL, param_bound=1).all_zero()
+    assert list(_RINGS.values()) == [A]
+    fresh_rings()
+    A = Algebra(1, 2, params=[("a", False), ("b", True)])
+    eps, a, b = A.nil(0), A.var("a"), A.var("b")
+    assert not bloch(symbol(A.one() + a * b * eps, b)).is_zero()
+    assert list(_RINGS.values()) == [A]
 
 
 @pytest.mark.parametrize("spec, rel", [

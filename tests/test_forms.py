@@ -310,14 +310,21 @@ def test_graded_dims_closed_form_matches_form_blocks_full():
 
 
 def test_fine_dims_memo_is_shared_across_algebras(fresh_rings):
-    from nilbloch.forms import _fine_dims
+    from nilbloch.forms import _fine_dims, _graded_dims
     gens = [{(2, 1, 0): 1}, {(0, 1, 1): 1}]
     graded_dims(Algebra(3, 6, ideal=gens))
     misses = _fine_dims.cache_info().misses
-    fresh_rings()       # else again is the same ring, with its graded dims cached
+    fresh_rings()
+    _graded_dims.cache_clear()      # else again finds its graded dims counted
     again = Algebra(3, 6, ideal=gens)
     assert graded_dims(again) and again._form_cache == {}
     assert _fine_dims.cache_info().misses == misses
+
+
+def test_graded_dims_memo_is_shared_by_parametric_rings():
+    gens = [{(2, 1): 1}]
+    plain = graded_dims(Algebra(2, 5, ideal=gens))
+    assert graded_dims(Algebra(2, 5, ideal=gens, params=["a", ("b", True)])) is plain
 
 
 def _whole_rows_per_term(A, n):
@@ -375,7 +382,7 @@ def test_whole_relation_rows_match_per_term_loop(name):
     for n in range(1, Aw.m + 1):
         merged = RowSpace(order=coord_sort_key(Aw))
         for g in block_grades(Aw, n):
-            merged.adopt(form_block(Aw, n, (g, ())).rows, lambda k: k)
+            merged.adopt(form_block(Aw, n, (g, ())).rows)
         ref = _whole_rows_per_term(Aw, n)
         assert merged.rows == ref.rows and merged.cols == ref.cols
         assert ref.rank

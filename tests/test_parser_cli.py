@@ -777,6 +777,31 @@ def test_cli_negative_counts_exit_two(capsys, argv):
     assert code == 2 and not out and "must not be negative" in err
 
 
+def test_cli_scan_limits_exit_two(capsys):
+    """verify-steinberg and verify-homotopy refuse a scan over their limit before
+    any work, naming the count and the limit; a scan at the limit runs."""
+    from nilbloch.acceptance import MAX_HOMOTOPY_BLOCKS, MAX_STEINBERG_COUNT
+    over = MAX_STEINBERG_COUNT + 1
+    for argv, count, limit in [
+            (["verify-steinberg", "--count", str(over)], over, MAX_STEINBERG_COUNT),
+            # (max_degree + 1) (N + m) blocks per multidegree; a = 0, 1, 2 when parametric
+            (["verify-homotopy", "--N", "4", "--max-degree", "30000"], 30001 * 5,
+             MAX_HOMOTOPY_BLOCKS),
+            (["verify-homotopy", "--max-degree", "3000000"], 3000001 * 5, MAX_HOMOTOPY_BLOCKS),
+            (["verify-homotopy", "--N", "999999", "--max-degree", "1"], 2 * 1000000,
+             MAX_HOMOTOPY_BLOCKS),
+            (["verify-homotopy", "--max-degree", "600", "--parametric"], 601 * (5 + 3 * 5),
+             MAX_HOMOTOPY_BLOCKS)]:
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 2 and not out, argv
+        assert f" {count} " in err and f"above the limit {limit}" in err, argv
+    code, out, _ = run_cli(capsys, ["verify-homotopy", "--N", "4", "--max-degree",
+                                    str(MAX_HOMOTOPY_BLOCKS // 5 - 1)])
+    assert code == 0 and len(json.loads(out)["rows"]) == MAX_HOMOTOPY_BLOCKS // 5
+
+
 def test_cli_param_bound_without_params_exits_two(capsys):
     code, out, err = run_cli(capsys, ["cohom", "--m", "1", "--N", "3", "--param-bound", "1"])
     assert code == 2 and not out and "parameters" in err
