@@ -55,6 +55,12 @@ def monomials_below(m, N):
     return out
 
 
+def form_coords(m, N):
+    """2^m * C(N - 1 + m, m), or None from m = 21 on, where 2^m alone passes
+    MAX_FORM_COORDS: checking m first keeps C cheap to form, whatever N is."""
+    return 2 ** m * comb(N - 1 + m, m) if m < MAX_FORM_COORDS.bit_length() else None
+
+
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -338,10 +344,7 @@ class Algebra(metaclass=_OneRingPerKey):
             raise ValueError("need at least one nilpotent variable")
         if bound < 1:
             raise ValueError("nilpotency bound must be at least 1")
-        # 2^m alone passes the limit from m = 21 on; checking m first keeps
-        # C(N - 1 + m, m) cheap to form, whatever N is
-        coords = (2 ** nilpotents * comb(bound - 1 + nilpotents, nilpotents)
-                  if nilpotents < MAX_FORM_COORDS.bit_length() else None)
+        coords = form_coords(nilpotents, bound)
         if coords is None or coords > MAX_FORM_COORDS:
             raise ValueError(f"the forms of m = {nilpotents}, N = {bound} have "
                              f"{coords or f'over 2^{nilpotents}'} coordinates, "

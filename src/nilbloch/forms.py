@@ -330,6 +330,11 @@ def canonical_terms(algebra, n, raw):
     for word, poly in by_word.items():
         for mono, c in algebra.normal_form(poly).items():
             flat[(mono, word)] = c
+    return _reduce_blocks(algebra, n, flat)
+
+
+def _reduce_blocks(algebra, n, flat):
+    """Terms with normal-form coefficients, reduced blockwise against the relations."""
     out = {}
     for key, vec in split_blocks(algebra, flat).items():
         out.update(form_block(algebra, n, key).reduce(vec))
@@ -404,8 +409,8 @@ def form_of_element(elem):
 
 def d_terms(algebra, terms):
     """Raw (not yet canonical) terms of d of a term dict. Its coefficients divide the
-    input's, so over a monomial ideal (alive monomials are closed under division)
-    normal-form input gives normal-form coefficients, as wedge_terms requires."""
+    input's, so normal-form input gives normal-form coefficients (see d), as
+    wedge_terms requires."""
     m = algebra.m
     raw = {}
     for ((pexp, texp), word), c in terms.items():
@@ -425,8 +430,13 @@ def d_terms(algebra, terms):
 
 
 def d(form):
-    """Exterior derivative."""
-    return Form(form.algebra, form.degree + 1, d_terms(form.algebra, form.terms))
+    """Exterior derivative. A canonical form's coefficients are normal-form monomials,
+    and those are closed under division: the pivots of J + m^N under the graded
+    order are its leading monomials, an upper set. The coefficients of d divide
+    them, so d needs only _q and the blockwise reduce, not a second normal form."""
+    A, n = form.algebra, form.degree + 1
+    raw = {k: _q(c) for k, c in d_terms(A, form.terms).items() if c}
+    return Form(A, n, _reduce_blocks(A, n, raw), canonical=True)
 
 
 def d_elem(elem):

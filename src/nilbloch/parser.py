@@ -24,7 +24,7 @@ token, computed from the offset in the text that every token carries.
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MAX_RINGS, Algebra, AlgElem, _q
+from .algebra import MAX_FORM_COORDS, MAX_RINGS, Algebra, AlgElem, _q, form_coords
 from .linalg import vec_iadd
 from .forms import Form
 from .ksymbols import SymbolSum
@@ -332,7 +332,7 @@ def parse_form(text, algebra):
     degree = None
     terms = {}
     for sign, (factors, wedge_tail) in _parse(text, _Parser.form_sum):
-        coeff = ("prod", [("num", sign)])      # one product node: to_elem folds a monomial
+        coeff = ("prod", [("num", sign)])      # one product node, so _monomial sees it whole
         idxs = []
         # differentials may arrive '*'-joined before the '∧' tail
         for node in factors + wedge_tail:
@@ -344,7 +344,9 @@ def parse_form(text, algebra):
                 raise ValueError("coefficient after differential")
             else:
                 coeff[1].append(node)
-        part = to_elem(coeff, algebra)
+        # a monomial goes in raw, as Form normalizes each word once
+        term = _monomial(coeff[1], algebra)
+        part = dict([term]) if term is not None else to_elem(coeff, algebra).terms
         if len(set(idxs)) != len(idxs):
             raise ValueError("repeated differential")
         inversions = sum(1 for i in range(len(idxs))
@@ -354,7 +356,7 @@ def parse_form(text, algebra):
             degree = len(word)
         elif degree != len(word):
             raise ValueError("mixed form degrees")
-        vec_iadd(terms, {(mono, word): c for mono, c in part.terms.items()}, (-1) ** inversions)
+        vec_iadd(terms, {(mono, word): c for mono, c in part.items()}, (-1) ** inversions)
     return Form(algebra, degree or 0, terms)
 
 
@@ -373,8 +375,7 @@ def _walk(ast, checks):
         raise ValueError("exp/log not allowed in polynomials")
     elif kind == "pow" and ast[2] < 0:
         checks.append(("pow", ast[2]))
-    degs = [_walk(child, checks) for sub in ast[1:]
-            for child in (sub if isinstance(sub, list) else [sub]) if isinstance(child, tuple)]
+    degs = [_walk(child, checks) for child in _children(ast)]
     if kind == "inv":
         checks.append(("inv", ast[1]))
     if kind == "sum":
@@ -382,6 +383,44 @@ def _walk(ast, checks):
     if kind == "pow":
         return max(ast[2], 1) * degs[0]
     return sum(degs) if degs else int(kind == "var")
+
+
+def _children(ast):
+    return [child for sub in ast[1:] for child in (sub if isinstance(sub, list) else [sub])
+            if isinstance(child, tuple)]
+
+
+def _degree(ast, algebra):
+    """An upper bound on the degree of the polynomial of ast, -1 exactly when it is 0:
+    a node whose _walk bound is below algebra.N is evaluated there, as its value is
+    its value mod m^N, and any other takes its children's by the rules of _walk,
+    except that a zero factor makes 0 and a 0th power a constant."""
+    if _walk(ast, []) < algebra.N:
+        return max((sum(texp) for _, texp in to_elem(ast, algebra).terms), default=-1)
+    kind, degs = ast[0], [_degree(child, algebra) for child in _children(ast)]
+    if kind == "pow":
+        return 0 if ast[2] == 0 else max(ast[2], 1) * degs[0] if degs[0] >= 0 else -1
+    if kind == "prod":
+        return sum(degs) if min(degs) >= 0 else -1
+    return max(degs)
+
+
+def _exact_bound(ast, checks, m, bound):
+    """A bound B past the degree of the polynomial of ast and of each divisor, so that
+    evaluation in Algebra(m, B), which gives them mod m^B, gives them exactly:
+    bound, the _walk bound plus 1, when Algebra(m, bound) passes the forms budget,
+    else 1 + their _degree in the largest Algebra(m, bound // 2^k) that does. So
+    the bound grows only for nonzero terms, which a cancellation or a zero factor
+    does not leave; a ring refused then names the degree the input still reaches."""
+    fits = lambda b: (form_coords(m, b) or MAX_FORM_COORDS + 1) <= MAX_FORM_COORDS
+    b = bound
+    while b > 2 and not fits(b):
+        b //= 2
+    if b == bound or not fits(b):
+        return bound
+    probe = Algebra(m, b)
+    return 1 + max(0, *(_degree(x, probe) for x in [ast] + [x for kind, x in checks
+                                                               if kind == "inv"]))
 
 
 def _nilpotent_count(checks):
@@ -438,7 +477,7 @@ def _polynomial_terms(text, m, bound):
     degree = _walk(ast, checks)
     if m is None:
         m = _nilpotent_count(checks)
-    algebra = Algebra(m, degree + 1 if bound is None else bound)
+    algebra = Algebra(m, _exact_bound(ast, checks, m, degree + 1) if bound is None else bound)
     one = ((), (0,) * m)
     for kind, x in checks:
         if kind == "var" and x not in algebra.nil_index:

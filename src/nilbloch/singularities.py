@@ -1,12 +1,12 @@
 """Milnor and Tyurina numbers of isolated hypersurface singularities.
 
 A polynomial f in the nilpotent variables with a critical point at the
-origin is analysed through its truncations Q[t_1..t_m]/(J + m^N), where J
-is the Jacobian ideal (for mu) or the Jacobian ideal plus f itself (for
-tau). The truncation bound N is raised until some degree d < N has every
-degree-d monomial inside the ideal's row space; that certifies
-m^d <= J + m^N for every deeper truncation, so the quotient dimension has
-stabilized and is the true dimension of the local quotient ring.
+origin is analysed through the truncations Q[t_1..t_m]/(J_f + m^N) of its
+Jacobian ideal J_f. The truncation bound N is raised until some degree
+d < N has every degree-d monomial inside the ideal's row space; that
+certifies m^d <= J_f, so this truncation M is the local Milnor algebra and
+mu = dim M. The Tyurina algebra is M/fM, so tau = mu - rank(f*M): the
+rank of the products f*b over the basis b of M, in that same M.
 
 The cross-check mu - tau = dim H^{m-1}(R', I') with R' = Q[t]/(f, m^N) ties
 the two counts to the de Rham machinery. singularity_report reports h_dim
@@ -14,7 +14,8 @@ beside mu and tau and leaves the verdict to its caller: `nilbloch singular`
 passes iff h_dim == mu - tau, and exits 1 (a verification failure) otherwise.
 """
 
-from .algebra import Algebra, Record, monomials_of_degree, poly_terms
+from .algebra import Algebra, AlgElem, Record, monomials_of_degree, poly_terms
+from .linalg import independent
 from . import derham as dr
 
 
@@ -40,37 +41,39 @@ def jacobian(f):
     return [g for g in outs if g]
 
 
-def _stabilized_dim(terms, m, gens, n_max):
+def _milnor_algebra(terms, m, n_max):
+    """(M, d): M = Q[t]/(J_f + m^N) at the first N (from max(deg f + 2, 4)) where some
+    d < N has every degree-d monomial in J_f + m^N. Then m^d <= J_f + m * m^d, so m^d
+    <= J_f by Nakayama, and M is the local Milnor algebra Q[[t]]/J_f."""
     deg = max(sum(k) for k in terms)
-    start = max(deg + 2, 4)
-    for N in range(start, n_max + 1):
-        A = Algebra(m, N, ideal=gens)
+    gens = jacobian(terms)
+    for N in range(max(deg + 2, 4), n_max + 1):
+        M = Algebra(m, N, ideal=gens)
         for d in range(1, N):
-            if not any(A.normal_form({((), e): 1}) for e in monomials_of_degree(m, d)):
-                return len(A.nil_basis), N, d
+            if not any(M.normal_form({((), e): 1}) for e in monomials_of_degree(m, d)):
+                return M, d
     raise ValueError("isolated singularity not detected up to N_max")
 
 
 def milnor_number(f, n_max=24):
-    """Dimension of Q[[t]]/(Jacobian ideal), with the certifying truncation."""
+    """Dimension of Q[[t]]/(Jacobian ideal), with the certifying truncation N and degree d."""
     terms = poly_terms(f)
-    m = _check_critical(terms)
-    return _stabilized_dim(terms, m, jacobian(terms), n_max)
+    M, d = _milnor_algebra(terms, _check_critical(terms), n_max)
+    return len(M.nil_basis), M.N, d
+
+
+def _tau(M, terms):
+    """dim M/fM = mu - rank{f * b : b in the basis of the Milnor algebra M}."""
+    f = M.element({((), e): c for e, c in terms.items()}).terms
+    return len(M.nil_basis) - len(independent(M.mul_terms(f, {((), b): 1}) for b in M.nil_basis))
 
 
 def tyurina_number(f, n_max=24):
-    """Dimension of Q[[t]]/(f + Jacobian ideal)."""
+    """Dimension of Q[[t]]/(f + Jacobian ideal), read off the Milnor algebra M (the
+    Tyurina algebra is M/fM), with the Milnor truncation N of milnor_number."""
     terms = poly_terms(f)
-    m = _check_critical(terms)
-    dim, n_used, _ = _stabilized_dim(terms, m, jacobian(terms) + [terms], n_max)
-    return dim, n_used
-
-
-def _poly_str(terms, m):
-    deg = max(sum(k) for k in terms)
-    scratch = Algebra(m, deg + 1)
-    elem = scratch.element({((), texp): c for texp, c in terms.items()})
-    return str(elem)
+    M, _ = _milnor_algebra(terms, _check_critical(terms), n_max)
+    return _tau(M, terms), M.N
 
 
 class SingularityReport(Record):
@@ -90,10 +93,10 @@ def hypersurface_h_dim(f, N):
 
 
 def singularity_report(f, n_max=24):
+    """mu, tau and h from one Milnor algebra M, which also prints f; then R' for h."""
     terms = poly_terms(f)
     m = _check_critical(terms)
-    mu, n_used, d_stab = milnor_number(terms, n_max)
-    tau, _ = tyurina_number(terms, n_max)
-    h_dim = hypersurface_h_dim(terms, n_used)
-    return SingularityReport(_poly_str(terms, m), m, mu, tau, h_dim,
-                             n_used, d_stab)
+    M, d_stab = _milnor_algebra(terms, m, n_max)
+    text = M.elem_str(AlgElem(M, {((), e): c for e, c in terms.items()}))
+    return SingularityReport(text, m, len(M.nil_basis), _tau(M, terms),
+                             hypersurface_h_dim(terms, M.N), M.N, d_stab)

@@ -462,3 +462,33 @@ def test_scale_matches_per_term_product_loop():
                 f = Form(C, n, {(rng.choice(monos), rng.choice(words)): sp.random_rational(rng)
                                 for _ in range(rng.randint(0, 5))})
                 assert scale(x, f) == _scale_per_term(x, f), (C.describe(), x, f)
+
+
+def _typed(terms):
+    return {k: (type(c), c) for k, c in terms.items()}
+
+
+@pytest.mark.parametrize("name", ["monomial", "parametric"] + sorted(NON_MONOMIAL_ALGEBRAS))
+def test_d_of_canonical_form_needs_no_normal_form(name):
+    """d reduces the raw d_terms of a canonical form blockwise only: the same terms,
+    each of the same type (an int where the full path gives one), as the full
+    canonical_terms (_q, normal form, reduce)."""
+    from nilbloch.forms import d_terms
+    Aw = {"monomial": lambda: Algebra(3, 5, ideal=[{(2, 1, 0): 1}, {(0, 0, 3): 1}]),
+          "parametric": lambda: Algebra(2, 5, params=[("a", False), ("b", True)]),
+          **NON_MONOMIAL_ALGEBRAS}[name]()
+    rng = random.Random(29)
+    pexps = [(i, j) for i in range(3) for j in range(-2, 3)] if Aw.n_params else [()]
+    monos = [(p, e) for p in pexps for e in Aw.nil_basis]
+    gens = Aw.m + Aw.n_params
+    nonzero = 0
+    for n in range(gens):
+        words = list(combinations(range(gens), n))
+        for _ in range(12):
+            f = Form(Aw, n, {(rng.choice(monos), rng.choice(words)):
+                             rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-4, 3)])
+                             for _ in range(rng.randint(1, 5))})
+            got = d(f)
+            assert _typed(got.terms) == _typed(Form(Aw, n + 1, d_terms(Aw, f.terms)).terms)
+            nonzero += bool(got)
+    assert nonzero > 10

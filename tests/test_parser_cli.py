@@ -260,6 +260,71 @@ def test_parse_form_folds_like_factorwise_product(A, pool):
         assert parse_form(text, A) == _factorwise_form(text, A), text
 
 
+def _per_term_form(text, A):
+    """The Form of text with each term's coefficient evaluated by to_elem, a monomial
+    included (normalized in A before the terms are summed)."""
+    from nilbloch.forms import Form
+    from nilbloch.linalg import vec_iadd
+    from nilbloch.parser import _differential_index, _parse, _Parser, to_elem
+    terms, degree = {}, 0
+    for sign, (factors, tail) in _parse(text, _Parser.form_sum):
+        coeff, idxs = [("num", sign)], []
+        for node in factors + tail:
+            idx = _differential_index(A, node[1]) if node[0] == "var" else None
+            (idxs.append(idx) if idx is not None else coeff.append(node))
+        inversions = sum(i > j for k, i in enumerate(idxs) for j in idxs[k + 1:])
+        degree = len(idxs)
+        part = to_elem(("prod", coeff), A).terms
+        vec_iadd(terms, {(mono, tuple(sorted(idxs))): c for mono, c in part.items()},
+                 (-1) ** inversions)
+    return Form(A, degree, terms)
+
+
+def _explicit_quotient():
+    from nilbloch.derham import EXPLICIT, relative
+    rel = EXPLICIT([{(1, 0, 0): 2, (0, 1, 0): -3}, {(0, 0, 2): 1}])
+    return relative(Algebra(3, 4), rel).quotient
+
+
+GAP = {(4, 0): 2, (2, 3): Fraction(-3, 2), (0, 5): 1}
+PARSE_FORM_ALGEBRAS = {
+    "monomial": lambda: Algebra(2, 5, ideal=[{(2, 1): 1}]),
+    "gap_curve": lambda: Algebra(2, 7, ideal=[GAP]),
+    "fermat3": lambda: Algebra(2, 5, ideal=[{(3, 0): 2, (0, 3): Fraction(-1, 2)}]),
+    "gap_jacobian": lambda: Algebra(2, 6, ideal=[{(3, 0): 8, (1, 3): -3},
+                                                {(2, 2): Fraction(-9, 2), (0, 4): 5}]),
+    "parametric": lambda: Algebra(2, 4, params=[("a", False), ("b", True)]),
+    "explicit_quotient": _explicit_quotient,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSE_FORM_ALGEBRAS))
+def test_parse_form_matches_per_term_path(name):
+    """A monomial coefficient goes into the raw terms as it is and Form normalizes each
+    word once: the same terms, of the same types, as normalizing every term."""
+    import random
+    A = PARSE_FORM_ALGEBRAS[name]()
+    rng = random.Random(29)
+    names = list(A.nil_names) + [p.name for p in A.params]
+    pool = names + [f"{v}^{k}" for v in A.nil_names for k in (2, 3, 4)] + [
+        "2", "3/2", "1/3", "0", "(1+t1)", "(t1-t2/3)^2", "(2+t1*t2)^-1"]
+    pool += ["a^2", "b^-1", "(a+b)"] if A.params else []
+    diffs = [f"d{n}" for n in names]
+    for _ in range(60):
+        degree = rng.randint(0, 2)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            word = rng.sample(diffs, degree)
+            head = "*".join(rng.choices(pool, k=rng.randint(0, 3)) + word[:1]) or "1"
+            terms.append((rng.choice(["+ ", "- "]), "∧".join([head] + word[1:])))
+        text = " ".join(s + t for s, t in terms)
+        want = _per_term_form(text, A)
+        got = parse_form(text, A)
+        assert got == want, text
+        assert {k: type(c) for k, c in got.terms.items()} == {
+            k: type(c) for k, c in want.terms.items()}, text
+
+
 @pytest.mark.parametrize("text", ["t1*dt2 garbage", "t1*dt2 )"])
 def test_parse_form_refuses_trailing_input(text):
     with pytest.raises(ValueError, match="syntax error at 1:8"):
@@ -493,6 +558,29 @@ def test_degree_bound_covers_every_parsed_degree():
         assert degree_bound(text) == bound, text
     for text in ("(1+t1-2*t2)^5*(t2-t1)", "t1^4*t2 + t2^3", "(t1*t2)^2 + t1"):
         assert max(map(sum, polynomial_terms(text, 2))) <= degree_bound(text)
+
+
+def test_unbounded_text_evaluates_past_a_cancelled_bound(capsys):
+    """Without a bound, a text whose _walk bound names a ring over the forms budget is
+    evaluated in one past the degree its nonzero terms reach."""
+    squares = "+t1^2+t2^2+t3^2+t4^2+t5^2+t6^2"
+    code, out, _ = run_cli(capsys, ["singular", "--poly", "(t1-t1)^20" + squares])
+    data = json.loads(out)
+    assert code == 0 and data["f"] == squares[1:]
+    assert (data["mu"], data["tau"], data["h_dim"], data["N_used"]) == (1, 1, 0, 4)
+    want = polynomial_terms(squares[1:])
+    for zero in ("(t1-t1)^20", "0*(t1+t2+t3+t4+t5+t6)^20", "(t1^2-t1^2)^15",
+                 "(t1+t2+t3+t4+t5+t6)^0*(t6-t6+1)^20-1"):
+        assert polynomial_terms(zero + squares) == want, zero
+    assert polynomial_terms("(t6-t6+1/(2-t1+t1))^30*t1^2" + squares) == {
+        **want, (2, 0, 0, 0, 0, 0): Fraction(2 ** 30 + 1, 2 ** 30)}
+    # a true degree past the budget still names it, as does m past it at once
+    for text, msg in (("(1+t1+t2)^3000", "m = 2, N = 3001 have 18018004"),
+                      ("(t1-t1)^40+(t1+t6)^20", "m = 6, N = 21 have 14734720"),
+                      ("0*(1/(1+t1^30))+t6^2", "m = 6, N = 31"),
+                      ("t21^2", r"m = 21, N = 3 have over 2\^21")):
+        with pytest.raises(ValueError, match=msg):
+            polynomial_terms(text)
 
 
 def test_polynomial_terms_bound_drops_high_degrees():
