@@ -334,7 +334,6 @@ def canonical_terms(algebra, n, raw):
 
 
 def _reduce_blocks(algebra, n, flat):
-    """Terms with normal-form coefficients, reduced blockwise against the relations."""
     out = {}
     for key, vec in split_blocks(algebra, flat).items():
         out.update(form_block(algebra, n, key).reduce(vec))
@@ -430,10 +429,9 @@ def d_terms(algebra, terms):
 
 
 def d(form):
-    """Exterior derivative. A canonical form's coefficients are normal-form monomials,
-    and those are closed under division: the pivots of J + m^N under the graded
-    order are its leading monomials, an upper set. The coefficients of d divide
-    them, so d needs only _q and the blockwise reduce, not a second normal form."""
+    """Exterior derivative. Normal-form monomials are closed under division (the pivots
+    of J + m^N are its leading monomials, an upper set), so the raw terms of d of a
+    canonical form need only _q and the blockwise reduce, not a second normal form."""
     A, n = form.algebra, form.degree + 1
     raw = {k: _q(c) for k, c in d_terms(A, form.terms).items() if c}
     return Form(A, n, _reduce_blocks(A, n, raw), canonical=True)

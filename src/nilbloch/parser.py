@@ -391,10 +391,9 @@ def _children(ast):
 
 
 def _degree(ast, algebra):
-    """An upper bound on the degree of the polynomial of ast, -1 exactly when it is 0:
-    a node whose _walk bound is below algebra.N is evaluated there, as its value is
-    its value mod m^N, and any other takes its children's by the rules of _walk,
-    except that a zero factor makes 0 and a 0th power a constant."""
+    """A bound on the degree of the polynomial of ast, -1 exactly when it is 0: a node
+    whose _walk bound is below algebra.N is evaluated there, any other combines its
+    children's by the rules of _walk, but a zero factor gives 0 and a 0th power 1."""
     if _walk(ast, []) < algebra.N:
         return max((sum(texp) for _, texp in to_elem(ast, algebra).terms), default=-1)
     kind, degs = ast[0], [_degree(child, algebra) for child in _children(ast)]
@@ -406,12 +405,9 @@ def _degree(ast, algebra):
 
 
 def _exact_bound(ast, checks, m, bound):
-    """A bound B past the degree of the polynomial of ast and of each divisor, so that
-    evaluation in Algebra(m, B), which gives them mod m^B, gives them exactly:
-    bound, the _walk bound plus 1, when Algebra(m, bound) passes the forms budget,
-    else 1 + their _degree in the largest Algebra(m, bound // 2^k) that does. So
-    the bound grows only for nonzero terms, which a cancellation or a zero factor
-    does not leave; a ring refused then names the degree the input still reaches."""
+    """B past the degree of ast and of each divisor, so Algebra(m, B) evaluates them
+    exactly: bound (_walk's + 1) when Algebra(m, bound) passes the forms budget, else
+    1 + their _degree in the largest Algebra(m, bound // 2^k) that does."""
     fits = lambda b: (form_coords(m, b) or MAX_FORM_COORDS + 1) <= MAX_FORM_COORDS
     b = bound
     while b > 2 and not fits(b):

@@ -69,8 +69,7 @@ def _tau(M, terms):
 
 
 def tyurina_number(f, n_max=24):
-    """Dimension of Q[[t]]/(f + Jacobian ideal), read off the Milnor algebra M (the
-    Tyurina algebra is M/fM), with the Milnor truncation N of milnor_number."""
+    """dim Q[[t]]/(f + Jacobian ideal) = dim M/fM, with the Milnor truncation N of M."""
     terms = poly_terms(f)
     M, _ = _milnor_algebra(terms, _check_critical(terms), n_max)
     return _tau(M, terms), M.N

@@ -468,15 +468,20 @@ def _typed(terms):
     return {k: (type(c), c) for k, c in terms.items()}
 
 
-@pytest.mark.parametrize("name", ["monomial", "parametric"] + sorted(NON_MONOMIAL_ALGEBRAS))
+FORM_ALGEBRAS = {
+    "monomial": lambda: Algebra(3, 5, ideal=[{(2, 1, 0): 1}, {(0, 0, 3): 1}]),
+    "parametric": lambda: Algebra(2, 5, params=[("a", False), ("b", True)]),
+    **NON_MONOMIAL_ALGEBRAS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORM_ALGEBRAS))
 def test_d_of_canonical_form_needs_no_normal_form(name):
     """d reduces the raw d_terms of a canonical form blockwise only: the same terms,
     each of the same type (an int where the full path gives one), as the full
     canonical_terms (_q, normal form, reduce)."""
     from nilbloch.forms import d_terms
-    Aw = {"monomial": lambda: Algebra(3, 5, ideal=[{(2, 1, 0): 1}, {(0, 0, 3): 1}]),
-          "parametric": lambda: Algebra(2, 5, params=[("a", False), ("b", True)]),
-          **NON_MONOMIAL_ALGEBRAS}[name]()
+    Aw = FORM_ALGEBRAS[name]()
     rng = random.Random(29)
     pexps = [(i, j) for i in range(3) for j in range(-2, 3)] if Aw.n_params else [()]
     monos = [(p, e) for p in pexps for e in Aw.nil_basis]

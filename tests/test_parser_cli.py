@@ -19,6 +19,7 @@ from nilbloch.ksymbols import bloch, dlog_symbol
 from nilbloch.parser import (MAX_DEPTH, MAX_POWER_BITS, algebra_from_json, algebra_to_json,
                              degree_bound, parse_element, parse_form, parse_symbol_sum,
                              polynomial_terms)
+from test_forms import FORM_ALGEBRAS
 
 R3 = Algebra(1, 3)
 PAR = Algebra(1, 3, params=[("a", False), ("b", True)])
@@ -280,30 +281,12 @@ def _per_term_form(text, A):
     return Form(A, degree, terms)
 
 
-def _explicit_quotient():
-    from nilbloch.derham import EXPLICIT, relative
-    rel = EXPLICIT([{(1, 0, 0): 2, (0, 1, 0): -3}, {(0, 0, 2): 1}])
-    return relative(Algebra(3, 4), rel).quotient
-
-
-GAP = {(4, 0): 2, (2, 3): Fraction(-3, 2), (0, 5): 1}
-PARSE_FORM_ALGEBRAS = {
-    "monomial": lambda: Algebra(2, 5, ideal=[{(2, 1): 1}]),
-    "gap_curve": lambda: Algebra(2, 7, ideal=[GAP]),
-    "fermat3": lambda: Algebra(2, 5, ideal=[{(3, 0): 2, (0, 3): Fraction(-1, 2)}]),
-    "gap_jacobian": lambda: Algebra(2, 6, ideal=[{(3, 0): 8, (1, 3): -3},
-                                                {(2, 2): Fraction(-9, 2), (0, 4): 5}]),
-    "parametric": lambda: Algebra(2, 4, params=[("a", False), ("b", True)]),
-    "explicit_quotient": _explicit_quotient,
-}
-
-
-@pytest.mark.parametrize("name", sorted(PARSE_FORM_ALGEBRAS))
+@pytest.mark.parametrize("name", sorted(FORM_ALGEBRAS))
 def test_parse_form_matches_per_term_path(name):
     """A monomial coefficient goes into the raw terms as it is and Form normalizes each
-    word once: the same terms, of the same types, as normalizing every term."""
+    word once: the same form as normalizing every term."""
     import random
-    A = PARSE_FORM_ALGEBRAS[name]()
+    A = FORM_ALGEBRAS[name]()
     rng = random.Random(29)
     names = list(A.nil_names) + [p.name for p in A.params]
     pool = names + [f"{v}^{k}" for v in A.nil_names for k in (2, 3, 4)] + [
@@ -318,11 +301,7 @@ def test_parse_form_matches_per_term_path(name):
             head = "*".join(rng.choices(pool, k=rng.randint(0, 3)) + word[:1]) or "1"
             terms.append((rng.choice(["+ ", "- "]), "∧".join([head] + word[1:])))
         text = " ".join(s + t for s, t in terms)
-        want = _per_term_form(text, A)
-        got = parse_form(text, A)
-        assert got == want, text
-        assert {k: type(c) for k, c in got.terms.items()} == {
-            k: type(c) for k, c in want.terms.items()}, text
+        assert parse_form(text, A) == _per_term_form(text, A), text
 
 
 @pytest.mark.parametrize("text", ["t1*dt2 garbage", "t1*dt2 )"])
