@@ -100,6 +100,8 @@ def _cmd_bloch(args):
 
 
 def _cmd_verify_homotopy(args):
+    if args.N < 2:      # Q[t]/t has no relative form: every row would check nothing
+        raise ValueError("--N must be at least 2")
     from . import acceptance
     rows, ok = acceptance.homotopy_scan(args.N, args.max_degree, args.parametric)
     out = {"N": args.N, "rows": rows, "passed": ok}
@@ -162,6 +164,8 @@ def _cmd_verify_sequence(args):
     else:
         if args.N is None:
             raise ValueError("give --N for the power case or --jacobian-of")
+        if args.N < 2:      # the inner ideal is (t^(N-1))
+            raise ValueError("--N must be at least 2")
         A = Algebra(1, args.N)
         inner = dr.POWER(args.N - 1)
         degrees = ([args.degree] if args.degree is not None

@@ -14,12 +14,14 @@ block by block. FULL and POWER(k) span the coordinates of internal
 degree >= 1 (resp. >= k) in the weight blocks (w . alpha, pihat) of forms
 (BlockedRelative). EXPLICIT is blocked by the weight w' of the quotient
 R/I = Q[t]/(J + I + m^N) instead (WholeRelative): w' is zero on the
-exponent differences of the generators of J and of I, so restriction to R/I
-and d keep the key (w' . alpha, ()), and a block's relative basis is the
-kernel of restriction over that block's coordinates. A witness comes from
-the first failing block in split order (forms.split_blocks). A degree
-cutoff, monomial ideals only, discards the coordinates of internal degree
-above the cutoff; certificates re-verify against what was kept.
+exponent differences of the generators of J and of I, so restriction r to
+R/I and d keep the key (w' . alpha, ()). A canonical coordinate of R/I is
+one of R (its relations contain R's, in one coordinate order), fixed by r,
+so a block's relative basis is {c - r(c)} over the c that r moves: no solve.
+A witness comes from the first failing block in split order
+(forms.split_blocks). A degree cutoff, monomial ideals only, discards the
+coordinates of internal degree above the cutoff; certificates re-verify
+against what was kept.
 
 Ranks are counted, not solved, wherever a positive weight w grades R and
 I (acyclic): the Euler contraction h (forms.euler_homotopy for w = 1) has
@@ -47,7 +49,7 @@ from functools import cached_property
 from itertools import product
 from math import comb, prod
 
-from .linalg import RowSpace, independent, nullspace, vec_dot, vec_iadd
+from .linalg import RowSpace, independent, nullspace, vec_add, vec_dot, vec_iadd
 from .algebra import Algebra, Record, RingMap, poly_terms
 from . import forms as fm
 from .forms import Form, form_block, coord_sort_key, internal_degree
@@ -261,8 +263,9 @@ class BlockedRelative(_Relative):
 
 
 class WholeRelative(_Relative):
-    """EXPLICIT: the kernel of restriction to R/I, blocked by (w' . alpha, ()), w' the
-    weight of R/I. J and I are w'-homogeneous, so restriction and d keep the key."""
+    """EXPLICIT: the kernel of restriction r to R/I, blocked by (w' . alpha, ()), w' the
+    weight of R/I (J and I are w'-homogeneous, so r and d keep the key). r fixes R/I's
+    canonical coordinates, which are R's, so a block's basis is c - r(c) over the moved c."""
 
     def __init__(self, algebra, rel):
         super().__init__(algebra, rel)
@@ -286,7 +289,7 @@ class WholeRelative(_Relative):
         return self._blocks(n).get(key, [])
 
     def _blocks(self, n):
-        """{key: the kernel of restriction to R/I over the block's sorted basis}."""
+        """{key: c - r(c) for the block's coordinates c outside the R/I block basis}."""
         if n not in self._kernels:
             A, Aq, basis = self.A, self.quotient, {}
             if n >= 0:
@@ -295,11 +298,10 @@ class WholeRelative(_Relative):
                          for c in form_block(A, n, (g, ())).basis}
             kernels = {}
             for key, group in sorted(fm.split_blocks(Aq, basis).items()):
-                coords = sorted(group, key=coord_sort_key(A))
-                images = [Form(Aq, n, {c: 1}).terms for c in coords]
-                kern = nullspace(images, order=coord_sort_key(Aq))
-                if kern:
-                    kernels[key] = [{coords[i]: c for i, c in combo.items()} for combo in kern]
+                fixed = set(form_block(Aq, n, key).basis)
+                moved = [c for c in sorted(group, key=coord_sort_key(A)) if c not in fixed]
+                if moved:
+                    kernels[key] = [vec_add({c: 1}, Form(Aq, n, {c: 1}).terms, -1) for c in moved]
             self._kernels[n] = kernels
         return self._kernels[n]
 
@@ -537,24 +539,14 @@ def verify_forms_sequence(algebra, inner, outer=FULL, degree=1):
     h_prev = _h_basis(presI, A, n - 1)
     h_quot = _h_basis(presQ, Aq, n - 1)
 
-    # lift classes of Om^{n-1}_{R',I'} through the surjection and differentiate
-    lift = RowSpace(order=coord_sort_key(Aq), track=True)
-    vecsI = presI.rel_vectors(n - 1)
-    for idx, v in enumerate(vecsI):
-        lift.insert(push(Form(A, n - 1, v, canonical=True)).terms, tag=idx)
+    # a class of Om^{n-1}_{R',I'} lifts to its own terms over R: each canonical coordinate
+    # of R' is one of R, fixed by restriction to R', and relative to the full ideal I
     alpha_images = []
-    alpha_ok = True
     for rep in h_quot:
-        combo = lift.solve(rep.terms)
-        if combo is None:
-            alpha_ok = False
-            continue
-        eta = _lift(combo, vecsI)
-        deta = fm.d(Form(A, n - 1, eta, canonical=True))
-        if not presJ.is_relative(deta):
-            alpha_ok = False
-            continue
-        alpha_images.append(presJ.reduce_class(deta))
+        deta = fm.d(Form(A, n - 1, rep.terms, canonical=True))
+        if presJ.is_relative(deta):
+            alpha_images.append(presJ.reduce_class(deta))
+    alpha_ok = len(alpha_images) == len(h_quot)
     rank_alpha = len(independent(img.terms for img in alpha_images))
     iota_alpha_zero = all(not presI.reduce_class(img).terms for img in alpha_images)
     rank_beta = len(independent((push(rep).terms for rep in h_prev),

@@ -414,7 +414,7 @@ def _exact_bound(ast, checks, m, bound):
         b //= 2
     if b == bound or not fits(b):
         return bound
-    probe = Algebra(m, b)
+    probe = type.__call__(Algebra, m, b)     # past the metaclass: no slot in the ring table
     return 1 + max(0, *(_degree(x, probe) for x in [ast] + [x for kind, x in checks
                                                                if kind == "inv"]))
 

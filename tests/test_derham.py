@@ -11,7 +11,7 @@ from nilbloch.linalg import RowSpace, nullspace, vec_iadd
 from nilbloch.parser import algebra_from_json
 from nilbloch.forms import (Form, block_grades, block_key, coord_sort_key, d, d_elem,
                             euler_homotopy, form_block, form_str, push_form, scale,
-                            zero_form)
+                            split_blocks, zero_form)
 from nilbloch.derham import (EXPLICIT, FULL, POWER, _pihat_box,
                              check_certificate,
                              cohomology, is_exact, quotient_class, relative,
@@ -526,6 +526,49 @@ def test_explicit_blocks_match_whole_degree_solve(make):
             vec_iadd(mixed, v, i + 1)
         _check_against_reference(Form(A, n, mixed, canonical=True), rel, ref, prev)
         prev = kernel
+
+
+# The relations of Omega of R/I contain those of R under one coordinate order,
+# so a canonical coordinate of R/I is one of R and restriction r fixes it. An
+# EXPLICIT block's kernel is then c - r(c) over the coordinates that r moves;
+# the reference below is the nullspace of the restriction images.
+
+def _random_restriction_spec(seed):
+    """m <= 4, N <= 6, J zero, one monomial or one polynomial of two or three terms,
+    and one or two generators of I of up to three terms."""
+    rng = random.Random(seed)
+    m, N = rng.randint(1, 4), rng.randint(2, 6)
+    exps = monomials_below(m, N)[1:]
+
+    def poly(terms):
+        return {rng.choice(exps): rng.choice([-3, -2, -1, 1, 2, 5, Fraction(1, 2)])
+                for _ in range(terms)}
+
+    ideal = rng.choice([[], [poly(1)], [poly(rng.randint(2, 3))]])
+    gens = [poly(rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+    return Algebra(m, N, ideal=ideal), EXPLICIT(gens)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_explicit_kernels_are_moved_coordinates_minus_their_restriction(seed):
+    A, rel = _random_restriction_spec(seed)
+    pres = relative(A, rel)
+    Aq = pres.quotient
+    for n in range(A.m + 1):
+        basis = {c for g in block_grades(A, n) for c in form_block(A, n, (g, ())).basis}
+        ref = {}
+        for key, group in sorted(split_blocks(Aq, dict.fromkeys(basis, 1)).items()):
+            coords = sorted(group, key=coord_sort_key(A))
+            kernel = nullspace([Form(Aq, n, {c: 1}).terms for c in coords],
+                               order=coord_sort_key(Aq))
+            if kernel:
+                ref[key] = [{coords[i]: c for i, c in v.items()} for v in kernel]
+        assert list(pres._blocks(n)) == list(ref)
+        assert all(pres._blocks(n)[key] == vecs for key, vecs in ref.items())
+        for g in block_grades(Aq, n):
+            for c in form_block(Aq, n, (g, ())).basis:
+                assert c in basis
+                assert pres.restrict(Form(A, n, {c: 1}, canonical=True)).terms == {c: 1}
 
 
 # Restriction to R/I is canonicalization in the presentation's quotient. The

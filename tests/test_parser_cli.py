@@ -562,6 +562,16 @@ def test_unbounded_text_evaluates_past_a_cancelled_bound(capsys):
             polynomial_terms(text)
 
 
+def test_unbounded_refinement_interns_only_the_evaluation_ring(fresh_rings):
+    """The probe ring that finds the degree of a cancelled text takes no slot in the
+    ring table: only the ring the text is evaluated in is left there."""
+    from nilbloch.algebra import _RINGS
+    parser._polynomial_terms.cache_clear()      # a memo hit would build no ring at all
+    terms = polynomial_terms("(t1-t1)^20+t1^2+t2^2+t3^2+t4^2+t5^2+t6^2")
+    assert terms == {tuple(2 * (v == i) for v in range(6)): 1 for i in range(6)}
+    assert [(A.m, A.N) for A in _RINGS.values()] == [(6, 3)]
+
+
 def test_polynomial_terms_bound_drops_high_degrees():
     assert polynomial_terms("(1+t)^200000", 1, 3) == {
         (0,): 1, (1,): 200000, (2,): 200000 * 199999 // 2}
@@ -890,6 +900,18 @@ def test_cli_sequence_degree_above_m_plus_one_exits_two(capsys):
     assert code == 2 and not out and "every term is 0" in err
     code, out, _ = run_cli(capsys, ["verify-sequence", "--N", "4", "--degree", "2"])
     assert code == 0 and json.loads(out)["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [["verify-sequence", "--N", "1"],
+                                  ["verify-homotopy", "--N", "1"],
+                                  ["verify-homotopy", "--N", "1", "--parametric"]])
+def test_cli_verifiers_refuse_n_below_two(capsys, argv, fresh_rings):
+    """At N = 1 the power case names (t^0) and the homotopy scan checks no form, so both
+    exit 2 before any ring is built, like verify-sigma."""
+    from nilbloch.algebra import _RINGS
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and "--N must be at least 2" in err
+    assert not _RINGS
 
 
 def _src_env(**extra):
