@@ -12,24 +12,16 @@ that checkout, so each side measures its own sources with its own
 benchmark files. After the pairs, one `--trace 1` run per side and
 workload (seed TRACE_SEED, TRACE_SECONDS long) gives the per-layer metrics.
 
-The benchmark runs its workers without writing bytecode, so a side whose
-src/nilbloch/__pycache__ already holds .pyc files starts faster for that
-reason alone. Both sides must be in the same state: when only one holds .pyc
-files, the script exits 2 before any run.
-
-The JSON written to --out (rewritten after every pair, so an interrupted
-run keeps the pairs it finished) has the keys parent, command, machine, pairs,
-bytecode (per side, whether it held .pyc files), claim, summary, runs and
-trace. summary["W/S"] holds, per end-to-end metric, each side's median,
-min, max, iqr (third minus first quartile) and n; the failed counts per
-run; and "<metric>_pairs_won", the pairs in which the change read better
-(ties count for neither side); and "<metric>_verdict" (see verdict). One
-line per workload, seed and metric goes to stdout with the verdict, the
-wins and both medians. Neither checkout is modified; BENCHMARK.json of the
-change checkout is only read, for each metric's direction and bound.
+The JSON written to --out (rewritten after every pair, so an interrupted run
+keeps the pairs it finished) has the keys parent (see commit_of), command,
+machine, pairs, bytecode (see bytecode_state), claim, summary (see summarize;
+per "W/S", each end-to-end metric and the failed count), runs and trace.
+BENCHMARK.json of the change checkout is only read; scripts/cli_pairs.py
+shares the summary, the verdict and the bytecode guard.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -39,6 +31,7 @@ import sys
 
 TRACE_SEED = 7
 TRACE_SECONDS = 10
+SIDES = ("parent", "change")
 
 
 def run_bench(root, workload, seed, seconds, trace):
@@ -59,43 +52,61 @@ def spread(values):
 
 
 def verdict(parent, change, better, bound):
-    """'gain', 'worse' or 'same' for one metric, from its values per pair (parent[i]
-    and change[i] ran in pair i). gain: the change read better in at least 9 of
-    every 10 pairs and its median is better than the parent's by more than the
-    parent's IQR. worse: the change median is worse than the parent median by
-    more than bound times the parent median. same: anything else."""
+    """'gain', 'worse', 'same' or 'unresolved' for one metric, from its values per pair
+    (parent[i] and change[i] ran in pair i). With the parent's IQR at most bound times
+    |parent median|: gain when the change won 9 of every 10 pairs and its median beats
+    the parent's by more than that IQR, worse when its median is worse by more than
+    that bound, else same. With a wider IQR: same when every change run beats every
+    parent run, worse when every one loses and the medians are past the bound, else
+    unresolved."""
     sign = 1 if better == "lower" else -1
     p_med, c_med = statistics.median(parent), statistics.median(change)
+    limit = bound * abs(p_med)
+    worse = sign * (c_med - p_med) > limit
+    iqr = spread(parent)["iqr"]
+    if iqr > limit:
+        if all(sign * (p - c) > 0 for p in parent for c in change):
+            return "same"
+        if worse and all(sign * (c - p) > 0 for p in parent for c in change):
+            return "worse"
+        return "unresolved"
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
-    if 10 * wins >= 9 * len(parent) and sign * (p_med - c_med) > spread(parent)["iqr"]:
+    if 10 * wins >= 9 * len(parent) and sign * (p_med - c_med) > iqr:
         return "gain"
-    if sign * (c_med - p_med) > bound * abs(p_med):
-        return "worse"
-    return "same"
+    return "worse" if worse else "same"
 
 
-def summarize(runs, better, bounds):
+def summarize(runs, unit, values, metrics):
+    """summary[unit(run)]: for each name in values(run) that no run of the unit lacks
+    (reads None), each side's median, min, max, iqr (third minus first quartile) and
+    n; for each name in metrics ({name: (better, bound)}), also "<name>_pairs_won",
+    the pairs the change read better in (ties count for neither side), and
+    "<name>_verdict" (see verdict)."""
     summary = {}
-    for key in dict.fromkeys(f"{r['workload']}/{r['seed']}" for r in runs):
-        mine = [r for r in runs if f"{r['workload']}/{r['seed']}" == key]
-        side = {s: sorted((r for r in mine if r["side"] == s), key=lambda r: r["pair"])
-                for s in ("parent", "change")}
+    for key in dict.fromkeys(map(unit, runs)):
+        series = {s: [values(r) for r in runs if unit(r) == key and r["side"] == s]
+                  for s in SIDES}
         out = summary[key] = {}
-        metrics = side["parent"][0]["result"]["metrics"]
-        for name in metrics:
-            vals = {s: [r["result"]["metrics"][name]["value"] for r in rs]
-                    for s, rs in side.items()}
-            out[name] = {s: spread(v) for s, v in vals.items()}
-        out["failed"] = {s: [r["result"]["failed"] for r in rs] for s, rs in side.items()}
-        for name in metrics:
-            sign = 1 if better[name] == "lower" else -1
-            pairs = list(zip(*([r["result"]["metrics"][name]["value"] for r in side[s]]
-                               for s in ("parent", "change"))))
-            wins = sum(sign * (p - c) > 0 for p, c in pairs)
-            out[f"{name}_pairs_won"] = f"{wins}/{len(pairs)}"
-            if name in bounds:
-                out[f"{name}_verdict"] = verdict(*zip(*pairs), better[name], bounds[name])
+        for name in series["parent"][0]:
+            parent, change = ([v[name] for v in series[s]] for s in SIDES)
+            if None in parent + change:
+                continue
+            out[name] = {"parent": spread(parent), "change": spread(change)}
+            if name in metrics:
+                sign = 1 if metrics[name][0] == "lower" else -1
+                wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+                out[f"{name}_pairs_won"] = f"{wins}/{len(parent)}"
+                out[f"{name}_verdict"] = verdict(parent, change, *metrics[name])
     return summary
+
+
+def print_summary(summary, names):
+    for key, out in summary.items():
+        for name in names:
+            if name in out:
+                p, c = (out[name][s]["median"] for s in SIDES)
+                print(f"{key} {name}: {out[name + '_verdict']}, change won "
+                      f"{out[name + '_pairs_won']} pairs, median {p:.4g} -> {c:.4g}")
 
 
 def has_bytecode(root):
@@ -104,10 +115,39 @@ def has_bytecode(root):
     return os.path.isdir(cache) and any(n.endswith(".pyc") for n in os.listdir(cache))
 
 
+def bytecode_state(roots):
+    """has_bytecode per side, or None, after an error line on stderr, when only one
+    side holds .pyc files: the benchmark and the CLI run without writing bytecode,
+    so that side would start faster for that reason alone."""
+    state = {side: has_bytecode(root) for side, root in roots.items()}
+    if state["parent"] == state["change"]:
+        return state
+    only = "parent" if state["parent"] else "change"
+    print(f"error: only the {only} checkout has .pyc files in src/nilbloch/__pycache__, "
+          f"so its start-up would read faster for that alone; remove them, or "
+          f"byte-compile both sides, and run again", file=sys.stderr)
+    return None
+
+
 def commit_of(root):
-    proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or os.path.basename(os.path.abspath(root))
+    """The short commit of root when root is the top of a git work tree whose src/
+    matches HEAD; else "src_sha256:" and the src_sha256 of perfbench/run.py (the
+    sha256 of each src/nilbloch/*.py in sorted order, as its name, a NUL byte and
+    its bytes; 16 hex digits), so a copy is named by its sources."""
+    root = os.path.realpath(root)
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True).stdout.strip()
+    if git("rev-parse", "--show-toplevel") == root and not git("status", "--porcelain", "src"):
+        return git("rev-parse", "--short", "HEAD")
+    digest = hashlib.sha256()
+    src = os.path.join(root, "src", "nilbloch")
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return "src_sha256:" + digest.hexdigest()[:16]
 
 
 def main(argv=None):
@@ -122,19 +162,13 @@ def main(argv=None):
     ap.add_argument("--claim", default="none")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent_dir, "change": args.change_dir}
-    bytecode = {side: has_bytecode(root) for side, root in roots.items()}
-    if bytecode["parent"] != bytecode["change"]:
-        only = "parent" if bytecode["parent"] else "change"
-        print(f"error: only the {only} checkout has .pyc files in src/nilbloch/__pycache__, "
-              f"so its start-up would read faster for that alone; remove them, or "
-              f"byte-compile both sides, and run again", file=sys.stderr)
+    bytecode = bytecode_state(roots)
+    if bytecode is None:
         return 2
     workloads = args.workloads.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     with open(os.path.join(args.change_dir, "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    better = {m["name"]: m["better"] for m in end_to_end}
-    bounds = {m["name"]: m["bound"] for m in end_to_end}
+        metrics = {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
     report = {
         "parent": commit_of(args.parent_dir),
         "command": f"python3 perfbench/run.py --workload W --seed S "
@@ -148,13 +182,17 @@ def main(argv=None):
     }
 
     def save():
-        report["summary"] = summarize(report["runs"], better, bounds)
+        report["summary"] = summarize(
+            report["runs"], lambda r: f"{r['workload']}/{r['seed']}",
+            lambda r: {**{k: m["value"] for k, m in r["result"]["metrics"].items()},
+                       "failed": r["result"]["failed"]},
+            metrics)
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
 
     for pair in range(1, args.pairs + 1):
-        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        order = SIDES if pair % 2 else SIDES[::-1]
         for workload in workloads:
             for seed in seeds:
                 for side in order:
@@ -166,17 +204,12 @@ def main(argv=None):
                           file=sys.stderr, flush=True)
         save()
     for workload in workloads:
-        for side in ("parent", "change"):
+        for side in SIDES:
             result = run_bench(roots[side], workload, TRACE_SEED, TRACE_SECONDS, 1)
             report["trace"].append({"side": side, "workload": workload, "seed": TRACE_SEED,
                                     "trace": 1, "seconds": TRACE_SECONDS, "result": result})
     save()
-    for key, out in report["summary"].items():
-        for name in better:
-            if name in out:
-                print(f"{key} {name}: {out[name + '_verdict']}, change won "
-                      f"{out[name + '_pairs_won']} pairs, median "
-                      f"{out[name]['parent']['median']:.4g} -> {out[name]['change']['median']:.4g}")
+    print_summary(report["summary"], metrics)
     return 0
 
 

@@ -5,7 +5,8 @@ Usage:
 
 The commands are `nilbloch selftest` and the `nilbloch ...` lines of the change's
 README CLI block and scripts/explicit_cmds.txt; README.md says what is compared
-and what --out holds. Exits 1 when any command's report differs from the
+and what --out holds. The summary, its verdicts and the bytecode guard are those
+of scripts/bench_pairs.py. Exits 1 when any command's report differs from the
 parent's first one, 2 before any run when only one side holds .pyc files in
 src/nilbloch/__pycache__, else 0.
 """
@@ -15,35 +16,24 @@ import json
 import os
 import platform
 import shlex
-import statistics
 import subprocess
 import sys
 import time
 
-from bench_pairs import commit_of, has_bytecode, spread, verdict
+from bench_pairs import SIDES, bytecode_state, commit_of, print_summary, summarize
 
-PAIRS = 5
-# medians closer than this many seconds read `same`: a command of a few ms swings
-# by more than the wall_s bound between two runs of one checkout
-MIN_SHIFT_S = 0.010
+PAIRS = 10
+METRICS = ("timing_seconds", "wall_s")
 
 
-def readme_commands(path):
-    """The `nilbloch ...` lines of the first code block after '## CLI'."""
-    with open(path) as fh:
-        lines = fh.read().split("\n## CLI", 1)[1].splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("```"))
-    end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("```"))
-    return [line.strip() for line in lines[start + 1:end] if line.startswith("nilbloch ")]
-
-
-def strip_timing(report):
-    out = {k: v for k, v in report.items() if k != "timing_seconds"}
-    if isinstance(out.get("criteria"), list):
-        out["criteria"] = [{k: v for k, v in c.items() if k != "seconds"}
-                           if isinstance(c, dict) else c
-                           for c in out["criteria"]]
-    return out
+def commands(root):
+    """`nilbloch selftest`, then the `nilbloch ...` lines of root's README CLI block
+    (the first code block after '## CLI') and of its scripts/explicit_cmds.txt."""
+    with open(os.path.join(root, "README.md")) as fh:
+        lines = fh.read().split("\n## CLI", 1)[1].split("\n```")[1].splitlines()
+    with open(os.path.join(root, "scripts", "explicit_cmds.txt")) as fh:
+        lines += fh.read().splitlines()
+    return ["nilbloch selftest"] + [s.strip() for s in lines if s.strip().startswith("nilbloch ")]
 
 
 _MISSING = object()
@@ -52,26 +42,17 @@ _MISSING = object()
 def first_difference(a, b, path="$"):
     """Path and the two values at the first place a and b differ, or None."""
     if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b), key=str):
-            sub = f"{path}.{key}"
-            if key not in a or key not in b:
-                return sub, a.get(key, _MISSING), b.get(key, _MISSING)
-            found = first_difference(a[key], b[key], sub)
-            if found:
-                return found
-        return None
-    if isinstance(a, list) and isinstance(b, list):
-        for i, (x, y) in enumerate(zip(a, b)):
-            found = first_difference(x, y, f"{path}[{i}]")
-            if found:
-                return found
-        if len(a) != len(b):
-            i = min(len(a), len(b))
-            return (f"{path}[{i}]", a[i] if i < len(a) else _MISSING,
-                    b[i] if i < len(b) else _MISSING)
-        return None
-    if type(a) is not type(b) or a != b:
-        return path, a, b
+        subs = [(f"{path}.{key}", a.get(key, _MISSING), b.get(key, _MISSING))
+                for key in sorted(set(a) | set(b), key=str)]
+    elif isinstance(a, list) and isinstance(b, list):
+        subs = [(f"{path}[{i}]", a[i] if i < len(a) else _MISSING,
+                 b[i] if i < len(b) else _MISSING) for i in range(max(len(a), len(b)))]
+    else:
+        return (path, a, b) if type(a) is not type(b) or a != b else None
+    for sub, x, y in subs:
+        found = first_difference(x, y, sub)
+        if found:
+            return found
     return None
 
 
@@ -89,30 +70,20 @@ def run_cli(root, args):
 
 
 def parse_run(code, stdout, stderr):
-    """The run's report and its timing_seconds (None when it prints no JSON object)."""
+    """The run's report without its timing fields (timing_seconds, criteria[].seconds)
+    and its timing_seconds (None when it prints no JSON object)."""
     try:
         report = json.loads(stdout)
     except ValueError:
         report = None
     if not isinstance(report, dict):
         return {"text": stdout.strip() or stderr.strip(), "exit_code": code}, None
-    return dict(strip_timing(report), exit_code=code), report.get("timing_seconds")
-
-
-def summarize(runs, bound):
-    summary = {}
-    for cmd in dict.fromkeys(r["cmd"] for r in runs):
-        out = summary[cmd] = {}
-        for name in ("timing_seconds", "wall_s"):
-            vals = [[r[name] for r in runs if r["cmd"] == cmd and r["side"] == side]
-                    for side in ("parent", "change")]
-            if None not in vals[0] + vals[1]:
-                wins = sum(p > c for p, c in zip(*vals))
-                small = abs(statistics.median(vals[0]) - statistics.median(vals[1])) < MIN_SHIFT_S
-                out[name] = {"parent": spread(vals[0]), "change": spread(vals[1]),
-                             "pairs_won": f"{wins}/{len(vals[0])}",
-                             "verdict": "same" if small else verdict(*vals, "lower", bound)}
-    return summary
+    out = {k: v for k, v in report.items() if k != "timing_seconds"}
+    if isinstance(out.get("criteria"), list):
+        out["criteria"] = [{k: v for k, v in c.items() if k != "seconds"}
+                           if isinstance(c, dict) else c
+                           for c in out["criteria"]]
+    return dict(out, exit_code=code), report.get("timing_seconds")
 
 
 def main(argv=None):
@@ -121,26 +92,20 @@ def main(argv=None):
     ap.add_argument("change_dir")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    parent, change = map(os.path.abspath, (args.parent_dir, args.change_dir))
-    bytecode = {"parent": has_bytecode(parent), "change": has_bytecode(change)}
-    if bytecode["parent"] != bytecode["change"]:
-        only = "parent" if bytecode["parent"] else "change"
-        print(f"error: only the {only} checkout has .pyc files in src/nilbloch/__pycache__",
-              file=sys.stderr)
+    roots = dict(zip(SIDES, map(os.path.abspath, (args.parent_dir, args.change_dir))))
+    bytecode = bytecode_state(roots)
+    if bytecode is None:
         return 2
-    cmds = ["nilbloch selftest"] + readme_commands(os.path.join(change, "README.md"))
-    with open(os.path.join(change, "scripts", "explicit_cmds.txt")) as fh:
-        cmds += [line.strip() for line in fh if line.strip().startswith("nilbloch ")]
-    with open(os.path.join(change, "BENCHMARK.json")) as fh:
+    cmds = commands(roots["change"])
+    with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         bound = next(m["bound"] for m in json.load(fh)["end_to_end"] if m["name"] == "wall_s")
-    report = {"parent": commit_of(parent), "bytecode": bytecode, "differs": {},
+    report = {"parent": commit_of(roots["parent"]), "bytecode": bytecode, "differs": {},
               "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}"}
     reference, differs, runs = {}, report["differs"], []
     for pair in range(1, PAIRS + 1):
         for cmd in cmds:
-            for side in ("parent", "change") if pair % 2 else ("change", "parent"):
-                root = parent if side == "parent" else change
-                code, stdout, stderr, wall = run_cli(root, shlex.split(cmd)[1:])
+            for side in SIDES if pair % 2 else SIDES[::-1]:
+                code, stdout, stderr, wall = run_cli(roots[side], shlex.split(cmd)[1:])
                 mine, timing = parse_run(code, stdout, stderr)
                 found = first_difference(reference.setdefault(cmd, mine), mine)
                 if found and cmd not in differs:
@@ -148,14 +113,13 @@ def main(argv=None):
                                     f"{_show(found[1])} != {_show(found[2])}")
                 runs.append({"cmd": cmd, "side": side, "pair": pair, "exit_code": code,
                              "timing_seconds": timing, "wall_s": round(wall, 6)})
-        report.update(summary=summarize(runs, bound), runs=runs)
+        report.update(summary=summarize(runs, lambda r: r["cmd"],
+                                        lambda r: {name: r[name] for name in METRICS},
+                                        dict.fromkeys(METRICS, ("lower", bound))),
+                      runs=runs)
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
-    for cmd, out in report["summary"].items():
-        name = "timing_seconds" if "timing_seconds" in out else "wall_s"
-        m = out[name]
-        print(f"{m['verdict']}, change won {m['pairs_won']} pairs, {name} median "
-              f"{m['parent']['median']:.4g} -> {m['change']['median']:.4g}: {cmd}")
+    print_summary(report["summary"], METRICS)
     for cmd, where in differs.items():
         print(f"differs: {cmd}: {where}")
     return 1 if differs else 0

@@ -458,7 +458,7 @@ class Algebra(metaclass=_OneRingPerKey):
         # no parameters over a non-monomial ideal: every pexp is ()
         red = self._ring_rows.reduce({texp: c for (_, texp), c in terms.items()
                                       if sum(texp) < self.N})
-        return {((), texp): c for texp, c in red.items()}      # reduce drops zeros
+        return {((), texp): _q(c) for texp, c in red.items()}      # reduce drops zeros
 
     def element(self, terms):
         clean = {}

@@ -336,7 +336,7 @@ def canonical_terms(algebra, n, raw):
 def _reduce_blocks(algebra, n, flat):
     out = {}
     for key, vec in split_blocks(algebra, flat).items():
-        out.update(form_block(algebra, n, key).reduce(vec))
+        out.update((k, _q(c)) for k, c in form_block(algebra, n, key).reduce(vec).items())
     return out
 
 

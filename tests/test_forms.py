@@ -495,5 +495,17 @@ def test_d_of_canonical_form_needs_no_normal_form(name):
                              for _ in range(rng.randint(1, 5))})
             got = d(f)
             assert _typed(got.terms) == _typed(Form(Aw, n + 1, d_terms(Aw, f.terms)).terms)
+            assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
             nonzero += bool(got)
     assert nonzero > 10
+
+
+def test_integral_coefficients_after_reduction_are_ints():
+    """The block reduce and the normal form over a non-monomial ideal add Fractions
+    after _q; an integral one is stored as an int, as _q stores it."""
+    from nilbloch.parser import parse_form
+    cusp = Algebra(2, 5, ideal=[{(2, 0): 3, (0, 3): -1}])
+    mono = Algebra(2, 6, ideal=[{(2, 1): 1}])
+    for form, want in ((parse_form("-1/3*t2^3", cusp), -1), (d(parse_form("t2^4", cusp)), 8),
+                       (parse_form("1/2*t1^2*dt2", mono), -1)):
+        assert [(type(c), c) for c in form.terms.values()] == [(int, want)]
